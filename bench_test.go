@@ -115,6 +115,7 @@ func BenchmarkTable5ATPG(b *testing.B) {
 				ties = combTies
 			}
 			b.Run(fmt.Sprintf("%s/%s", name, mode), func(b *testing.B) {
+				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					res := atpg.Run(c, atpg.RunOptions{
 						Faults: faults,
@@ -359,6 +360,7 @@ func BenchmarkParallelATPG(b *testing.B) {
 	}
 	for _, p := range counts {
 		b.Run(fmt.Sprintf("workers-%d", p), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res := atpg.Run(c, atpg.RunOptions{
 					Faults:      faults,

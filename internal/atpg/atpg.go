@@ -88,8 +88,9 @@ type Options struct {
 	// Forbidden and Known modes.
 	UseCrossFrame bool
 
-	// rels caches the compiled relation index across Generate calls (set
-	// by Run; computed on demand otherwise).
+	// rels is the compiled relation index. Run and RunPartition compile it
+	// once per run and share it, read-only, with every executor's arena;
+	// the public Generate compiles its own per call.
 	rels *relIndex
 }
 
@@ -141,41 +142,19 @@ type Result struct {
 	Backtracks int         // total backtracks across windows
 }
 
-// Generate runs PODEM for fault f over growing windows.
+// Generate runs PODEM for fault f over growing windows. Each call builds a
+// private search arena (and relation index), so concurrent calls are safe;
+// the drivers instead reuse one arena per executor across faults.
 func Generate(c *netlist.Circuit, f fault.Fault, opt Options) Result {
-	opt.defaults()
+	opt.prepare(c)
+	return newArena(c, &opt).generate(f, &opt)
+}
 
-	// Tie shortcut: a node tied to its stuck value is untestable (the
-	// fault-free and faulty machines never differ).
-	for _, tie := range opt.Ties {
-		if tie.Node == f.Node && tie.Val == f.Stuck {
-			return Result{Outcome: Untestable}
-		}
-	}
-
-	if opt.rels == nil {
-		opt.rels = buildRelIndex(c, opt.DB, opt.Mode, opt.UseCrossFrame)
-	}
-
-	res := Result{Outcome: Untestable}
-	for _, w := range opt.Windows {
-		p := newPodem(c, f, w, &opt)
-		out := p.search()
-		res.Backtracks += p.backtracks
-		switch out {
-		case Detected:
-			res.Outcome = Detected
-			res.Window = w
-			res.Test = p.extractTest()
-			return res
-		case Aborted:
-			// Not proven for this window: the overall claim degrades.
-			res.Outcome = Aborted
-		case Untestable:
-			// Exhausted this window; keep trying larger ones.
-		}
-	}
-	return res
+// prepare folds in the defaults and compiles the relation index once, for
+// every executor of a run to share.
+func (o *Options) prepare(c *netlist.Circuit) {
+	o.defaults()
+	o.rels = buildRelIndex(c, o.DB, o.Mode, o.UseCrossFrame)
 }
 
 // relIndex pre-compiles the same-frame relations of a DB into per-literal

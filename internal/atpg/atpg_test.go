@@ -410,9 +410,10 @@ func TestCrossFrameAssertsAcrossWindow(t *testing.T) {
 	// G5 drives a PO; pick the fault on I4 (feeds only G5).
 	f := fault.Fault{Node: c.MustLookup("I4"), Stuck: logic.Zero}
 	opt := Options{BacktrackLimit: 10, Windows: []int{2}, Mode: ModeKnown, DB: lr.DB, UseCrossFrame: true}
-	opt.defaults()
-	opt.rels = buildRelIndex(c, opt.DB, opt.Mode, true)
-	e := newExpanded(c, f, 2, &opt)
+	opt.prepare(c)
+	e := newArena(c, &opt).e
+	e.setFault(f, &opt)
+	e.w = 2
 	if !e.init() {
 		t.Fatal("init conflict")
 	}

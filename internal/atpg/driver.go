@@ -179,7 +179,7 @@ func Run(c *netlist.Circuit, opt RunOptions) RunResult {
 	if opt.MaxFaults > 0 && len(faults) > opt.MaxFaults {
 		faults = faults[:opt.MaxFaults]
 	}
-	opt.ATPG.rels = buildRelIndex(c, opt.ATPG.DB, opt.ATPG.Mode, opt.ATPG.UseCrossFrame)
+	opt.ATPG.prepare(c)
 
 	workers := sim.ClampWorkers(opt.Parallelism)
 	st := newRunState(c, opt, faults, workers)
@@ -262,14 +262,16 @@ type runState struct {
 	res RunResult
 }
 
-// generate runs one PODEM search, timing it into the podem aggregate span
-// when one is attached. Safe from parallel workers: AddTime is atomic.
-func (st *runState) generate(i int) Result {
+// generate runs one PODEM search in the calling executor's arena, timing
+// it into the podem aggregate span when one is attached. Safe from parallel
+// workers, each with its own arena: AddTime is atomic.
+func (st *runState) generate(a *arena, i int) Result {
+	opt := st.genOptions(i)
 	if st.podemSpan == nil {
-		return Generate(st.c, st.faults[i], st.genOptions(i))
+		return a.generate(st.faults[i], &opt)
 	}
 	start := time.Now()
-	g := Generate(st.c, st.faults[i], st.genOptions(i))
+	g := a.generate(st.faults[i], &opt)
 	st.podemSpan.AddTime(time.Since(start))
 	return g
 }
@@ -499,8 +501,10 @@ func (st *runState) compactTests() {
 }
 
 // runSerial is the classic driver loop: one PODEM search at a time, in
-// fault order, with a cancellation check at every fault boundary.
+// fault order, in one arena, with a cancellation check at every fault
+// boundary.
 func (st *runState) runSerial() {
+	a := newArena(st.c, &st.opt.ATPG)
 	for i := range st.faults {
 		if st.canceled() {
 			st.res.Canceled = true
@@ -509,6 +513,6 @@ func (st *runState) runSerial() {
 		if st.dropped[st.slot[i]].Load() {
 			continue
 		}
-		st.process(i, st.generate(i))
+		st.process(i, st.generate(a, i))
 	}
 }

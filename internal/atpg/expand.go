@@ -8,12 +8,15 @@ import (
 	"repro/internal/netlist"
 )
 
-// expanded is the time-frame-expanded 5-valued circuit model for one fault
-// and one window size. Values are monotone within a search (X → known), so
-// backtracking is a trail rollback.
+// expanded is the time-frame-expanded 5-valued circuit model of one PODEM
+// executor. It is sized once for the largest window and reused for every
+// window and fault the executor searches: values are monotone within a
+// search (X → known) and every cell write is trailed, so backtracking is a
+// trail rollback and rollback(0) returns the model to its idle state —
+// all-X values, no forbidden marks, an empty trail and worklist.
 type expanded struct {
 	c  *netlist.Circuit
-	w  int // window size (frames 0..w-1)
+	w  int // window size of the current search (frames 0..w-1)
 	f  fault.Fault
 	ri *relIndex
 
@@ -22,17 +25,19 @@ type expanded struct {
 
 	// tainted marks nodes structurally reachable from the fault site
 	// (through any number of frames): on those, learned facts constrain
-	// only the good-machine component.
-	tainted []bool
+	// only the good-machine component. taintList holds exactly the marked
+	// nodes, in BFS order, so the next fault clears only those.
+	tainted   []bool
+	taintList []netlist.NodeID
 
 	values [][]logic.V5 // [frame][node]
 	forb   [][]uint8    // forbidden-value bits: bit0 = must-not-be-0, bit1 = must-not-be-1
+	queued [][]bool     // [frame][node]: the node is on the worklist
 
 	trail    []trailEntry
 	conflict bool
 	queue    []fnode // evaluation worklist
-	inQueue  map[fnode]bool
-	dCount   int // nodes currently carrying a fault effect
+	dCount   int     // nodes currently carrying a fault effect
 }
 
 type fnode struct {
@@ -45,43 +50,28 @@ type trailEntry struct {
 	forbBit uint8 // 0 for value entries; else the bit that was set
 }
 
-func newExpanded(c *netlist.Circuit, f fault.Fault, w int, opt *Options) *expanded {
-	e := &expanded{
-		c:       c,
-		w:       w,
-		f:       f,
-		mode:    opt.Mode,
-		ties:    opt.Ties,
-		ri:      opt.rels,
-		tainted: taint(c, f.Node),
-		values:  make([][]logic.V5, w),
-		forb:    make([][]uint8, w),
-		inQueue: map[fnode]bool{},
+// setFault binds the model to a fault and the options' learned data, and
+// marks the fault's taint cone: every node reachable from the site,
+// crossing sequential elements any number of times. The cone does not
+// depend on the window, so it is computed once per fault.
+func (e *expanded) setFault(f fault.Fault, opt *Options) {
+	e.f = f
+	e.mode = opt.Mode
+	e.ties = opt.Ties
+	e.ri = opt.rels
+	for _, n := range e.taintList {
+		e.tainted[n] = false
 	}
-	for t := 0; t < w; t++ {
-		e.values[t] = make([]logic.V5, c.NumNodes())
-		e.forb[t] = make([]uint8, c.NumNodes())
-	}
-	return e
-}
-
-// taint marks every node reachable from start, crossing sequential
-// elements any number of times.
-func taint(c *netlist.Circuit, start netlist.NodeID) []bool {
-	seen := make([]bool, c.NumNodes())
-	queue := []netlist.NodeID{start}
-	seen[start] = true
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, out := range c.Fanouts(n) {
-			if !seen[out] {
-				seen[out] = true
-				queue = append(queue, out)
+	e.taintList = append(e.taintList[:0], f.Node)
+	e.tainted[f.Node] = true
+	for i := 0; i < len(e.taintList); i++ {
+		for _, out := range e.c.Fanouts(e.taintList[i]) {
+			if !e.tainted[out] {
+				e.tainted[out] = true
+				e.taintList = append(e.taintList, out)
 			}
 		}
 	}
-	return seen
 }
 
 // init asserts ties and schedules the fault site, returning false on
@@ -163,8 +153,8 @@ func (e *expanded) enqueueFanouts(at fnode) {
 }
 
 func (e *expanded) push(at fnode) {
-	if !e.inQueue[at] {
-		e.inQueue[at] = true
+	if !e.queued[at.t][at.n] {
+		e.queued[at.t][at.n] = true
 		e.queue = append(e.queue, at)
 	}
 }
@@ -322,7 +312,7 @@ func (e *expanded) settle() bool {
 	for len(e.queue) > 0 && !e.conflict {
 		at := e.queue[len(e.queue)-1]
 		e.queue = e.queue[:len(e.queue)-1]
-		e.inQueue[at] = false
+		e.queued[at.t][at.n] = false
 		e.eval(at)
 	}
 	return !e.conflict
@@ -448,7 +438,9 @@ func (e *expanded) assignPI(at fnode, v logic.V) bool {
 // mark returns the current trail position for later rollback.
 func (e *expanded) mark() int { return len(e.trail) }
 
-// rollback undoes trail entries past the mark and clears conflict state.
+// rollback undoes trail entries past the mark, clears conflict state and
+// empties the worklist. Only nodes still queued carry a set flag (settle
+// clears each flag as it pops the node), so clearing those suffices.
 func (e *expanded) rollback(mark int) {
 	for i := len(e.trail) - 1; i >= mark; i-- {
 		te := e.trail[i]
@@ -463,8 +455,8 @@ func (e *expanded) rollback(mark int) {
 	}
 	e.trail = e.trail[:mark]
 	e.conflict = false
-	for at := range e.inQueue {
-		delete(e.inQueue, at)
+	for _, at := range e.queue {
+		e.queued[at.t][at.n] = false
 	}
 	e.queue = e.queue[:0]
 }

@@ -92,6 +92,7 @@ func (st *runState) runParallel(workers int) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			a := newArena(st.c, &st.opt.ATPG)
 			for {
 				if stopped.Load() {
 					return
@@ -126,7 +127,7 @@ func (st *runState) runParallel(workers int) {
 					mu.Unlock()
 					continue
 				}
-				g := st.generate(i)
+				g := st.generate(a, i)
 				mu.Lock()
 				results[i] = g
 				state[i] = genDone
@@ -161,7 +162,7 @@ func (st *runState) runParallel(workers int) {
 				// are monotonic and only the coordinator writes them, so
 				// this cannot happen; regenerate inline so the merge stays
 				// provably serial-equivalent even if it ever did.
-				g = st.generate(i)
+				g = st.generate(newArena(st.c, &st.opt.ATPG), i)
 			}
 			st.process(i, g)
 		}

@@ -98,7 +98,7 @@ func RunPartition(c *netlist.Circuit, opt RunOptions, part Partition) PartitionR
 		return PartitionResult{Partition: part, Canceled: true}
 	}
 	faults := effectiveFaults(c, opt)
-	opt.ATPG.rels = buildRelIndex(c, opt.ATPG.DB, opt.ATPG.Mode, opt.ATPG.UseCrossFrame)
+	opt.ATPG.prepare(c)
 
 	pre := make(map[fault.Fault]bool, len(opt.PreUntestable))
 	for _, f := range opt.PreUntestable {
@@ -132,6 +132,7 @@ func RunPartition(c *netlist.Circuit, opt RunOptions, part Partition) PartitionR
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			a := newArena(c, &opt.ATPG)
 			for {
 				k := int(next.Add(1)) - 1
 				if k >= len(res.Positions) {
@@ -151,7 +152,8 @@ func RunPartition(c *netlist.Circuit, opt RunOptions, part Partition) PartitionR
 					continue
 				}
 				start := time.Now()
-				g := Generate(c, faults[i], positionOptions(opt.ATPG, i))
+				gopt := positionOptions(opt.ATPG, i)
+				g := a.generate(faults[i], &gopt)
 				sp.AddTime(time.Since(start))
 				res.Results[k] = g
 				generated.Add(1)

@@ -6,16 +6,94 @@ import (
 	"repro/internal/netlist"
 )
 
-// podem performs the branch-and-bound search over one expanded window.
-// Decisions are primary-input assignments (frame, PI, value); everything
-// else follows by implication. The search is complete for the window: if it
-// finishes without hitting the backtrack limit and without a test, no test
-// with that many frames exists under the unknown-initial-state semantics.
+// arena is the reusable search state of one PODEM executor: the expanded
+// model sized for the largest window, plus the decision stack. The serial
+// driver, every parallel or partition worker and every public Generate call
+// own one each, so no arena is ever shared between goroutines. Between
+// searches the arena is idle (see expanded), and generate leaves it idle.
+type arena struct {
+	e     *expanded
+	stack []decision
+}
+
+// newArena allocates an idle arena with room for the largest of opt's
+// windows; opt must be defaulted.
+func newArena(c *netlist.Circuit, opt *Options) *arena {
+	maxW := 0
+	for _, w := range opt.Windows {
+		maxW = max(maxW, w)
+	}
+	n := c.NumNodes()
+	e := &expanded{
+		c:       c,
+		tainted: make([]bool, n),
+		values:  make([][]logic.V5, maxW),
+		forb:    make([][]uint8, maxW),
+		queued:  make([][]bool, maxW),
+	}
+	vals := make([]logic.V5, maxW*n) // X5 is the zero value
+	forb := make([]uint8, maxW*n)
+	queued := make([]bool, maxW*n)
+	for t := 0; t < maxW; t++ {
+		e.values[t] = vals[t*n : (t+1)*n : (t+1)*n]
+		e.forb[t] = forb[t*n : (t+1)*n : (t+1)*n]
+		e.queued[t] = queued[t*n : (t+1)*n : (t+1)*n]
+	}
+	return &arena{e: e}
+}
+
+// generate runs PODEM for fault f over growing windows. opt must be
+// defaulted, carry the relation index and list no window larger than the
+// arena's. Once the trail, worklist and stack have grown to fit the
+// executor's searches, only a detected search allocates: the emitted test.
+func (a *arena) generate(f fault.Fault, opt *Options) Result {
+	// Tie shortcut: a node tied to its stuck value is untestable (the
+	// fault-free and faulty machines never differ).
+	for _, tie := range opt.Ties {
+		if tie.Node == f.Node && tie.Val == f.Stuck {
+			return Result{Outcome: Untestable}
+		}
+	}
+
+	a.e.setFault(f, opt)
+	res := Result{Outcome: Untestable}
+	for _, w := range opt.Windows {
+		a.e.w = w
+		p := podem{c: a.e.c, f: f, e: a.e, limit: opt.BacktrackLimit, fillSeed: opt.FillSeed, stack: a.stack[:0]}
+		out := p.search()
+		a.stack = p.stack[:0]
+		res.Backtracks += p.backtracks
+		switch out {
+		case Detected:
+			res.Outcome = Detected
+			res.Window = w
+			res.Test = p.extractTest()
+		case Aborted:
+			// Not proven for this window: the overall claim degrades.
+			res.Outcome = Aborted
+		case Untestable:
+			// Exhausted this window; keep trying larger ones.
+		}
+		a.e.rollback(0)
+		if out == Detected {
+			return res
+		}
+	}
+	return res
+}
+
+// podem performs the branch-and-bound search over one window of an arena's
+// expanded model. Decisions are primary-input assignments (frame, PI,
+// value); everything else follows by implication. The search is complete
+// for the window: if it finishes without hitting the backtrack limit and
+// without a test, no test with that many frames exists under the
+// unknown-initial-state semantics.
 type podem struct {
-	c   *netlist.Circuit
-	f   fault.Fault
-	opt *Options
-	e   *expanded
+	c        *netlist.Circuit
+	f        fault.Fault
+	e        *expanded
+	limit    int    // Options.BacktrackLimit
+	fillSeed uint64 // Options.FillSeed
 
 	stack      []decision
 	backtracks int
@@ -26,10 +104,6 @@ type decision struct {
 	val     logic.V
 	flipped bool
 	mark    int
-}
-
-func newPodem(c *netlist.Circuit, f fault.Fault, w int, opt *Options) *podem {
-	return &podem{c: c, f: f, opt: opt, e: newExpanded(c, f, w, opt)}
 }
 
 // search runs the PODEM loop and classifies the window.
@@ -63,7 +137,7 @@ func (p *podem) search() Outcome {
 				continue
 			}
 			p.backtracks++
-			if p.backtracks > p.opt.BacktrackLimit {
+			if p.backtracks > p.limit {
 				return Aborted
 			}
 			top.flipped = true
@@ -217,7 +291,7 @@ func (p *podem) chooseInput(at fnode, nd *netlist.Node, v logic.V) (netlist.Pin,
 			if fallback == nil {
 				fallback = &fanin[i]
 			}
-			if p.opt.Mode == ModeForbidden {
+			if p.e.mode == ModeForbidden {
 				needed := pinVal(pin, ctrl) // value on the driver
 				bit := uint8(1)
 				if needed == logic.Zero {
@@ -277,8 +351,8 @@ func pinVal(p netlist.Pin, v logic.V) logic.V {
 // unassigned ones when a fill seed is configured.
 func (p *podem) extractTest() [][]logic.V {
 	var r *logic.Rand64
-	if p.opt.FillSeed != 0 {
-		r = logic.NewRand64(p.opt.FillSeed)
+	if p.fillSeed != 0 {
+		r = logic.NewRand64(p.fillSeed)
 	}
 	test := make([][]logic.V, p.e.w)
 	for t := 0; t < p.e.w; t++ {
