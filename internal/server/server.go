@@ -34,6 +34,7 @@ import (
 	"repro/internal/atpg"
 	"repro/internal/bench"
 	"repro/internal/fault"
+	"repro/internal/learn"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/obs"
@@ -416,6 +417,35 @@ func (s *Server) readCircuit(w http.ResponseWriter, r *http.Request) (*netlist.C
 	return c, true
 }
 
+// learnArtifact resolves the learning artifact for c through the store
+// under the request's "learn" span. An expired or abandoned learning run
+// stops at the next injection boundary, frees the caller's slot, and is
+// never cached; on cache hits the span closes with no phase children — the
+// lookup's own cost. On failure it writes the error response and returns
+// false.
+func (s *Server) learnArtifact(w http.ResponseWriter, ctx context.Context, c *netlist.Circuit,
+	lopt learn.Options) (*store.Artifact, store.Source, bool) {
+	lopt.Cancel = ctx.Done()
+	lsp := obs.TraceFrom(ctx).Root().Start("learn")
+	lopt.Span = lsp
+	art, src, err := s.store.Learn(c, lopt)
+	lsp.End()
+	if err != nil {
+		s.writeStoreError(w, ctx, err, http.StatusInternalServerError)
+		return nil, src, false
+	}
+	return art, src, true
+}
+
+// writeStoreError answers a failed store call: a canceled run is
+// classified by cancelStatus (503 or 504), anything else gets code.
+func (s *Server) writeStoreError(w http.ResponseWriter, ctx context.Context, err error, code int) {
+	if errors.Is(err, store.ErrCanceled) {
+		code, err = s.cancelStatus(ctx, "mid-run")
+	}
+	s.writeError(w, code, err)
+}
+
 func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	params, err := learnParamsFromQuery(r.URL.Query())
@@ -460,22 +490,7 @@ func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
 		}
 		defer release()
 
-		// An expired or abandoned learning run stops at the next injection
-		// boundary, frees this slot, and is never cached. On cache hits the
-		// learn span closes with no phase children — the lookup's own cost.
-		lopt := params.Options()
-		lopt.Cancel = ctx.Done()
-		lsp := tr.Root().Start("learn")
-		lopt.Span = lsp
-		art, src, err = s.store.Learn(c, lopt)
-		lsp.End()
-		if err != nil {
-			if errors.Is(err, store.ErrCanceled) {
-				code, cerr := s.cancelStatus(ctx, "mid-run")
-				s.writeError(w, code, cerr)
-				return
-			}
-			s.writeError(w, http.StatusInternalServerError, err)
+		if art, src, ok = s.learnArtifact(w, ctx, c, params.Options()); !ok {
 			return
 		}
 	}
@@ -544,19 +559,7 @@ func (s *Server) handleATPG(w http.ResponseWriter, r *http.Request) {
 
 	tr := obs.TraceFrom(ctx)
 	if art == nil {
-		lopt := params.Learn.Options()
-		lopt.Cancel = ctx.Done()
-		lsp := tr.Root().Start("learn")
-		lopt.Span = lsp
-		art, src, err = s.store.Learn(c, lopt)
-		lsp.End()
-		if err != nil {
-			if errors.Is(err, store.ErrCanceled) {
-				code, cerr := s.cancelStatus(ctx, "mid-run")
-				s.writeError(w, code, cerr)
-				return
-			}
-			s.writeError(w, http.StatusInternalServerError, err)
+		if art, src, ok = s.learnArtifact(w, ctx, c, params.Learn.Options()); !ok {
 			return
 		}
 	}
@@ -586,12 +589,7 @@ func (s *Server) handleATPG(w http.ResponseWriter, r *http.Request) {
 	})
 	asp.End()
 	if err != nil {
-		if errors.Is(err, store.ErrCanceled) {
-			code, cerr := s.cancelStatus(ctx, "mid-run")
-			s.writeError(w, code, cerr)
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeStoreError(w, ctx, err, http.StatusBadRequest)
 		return
 	}
 	res := &tart.Result

@@ -3,8 +3,8 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/atpg"
 	"repro/internal/equiv"
@@ -12,7 +12,7 @@ import (
 	"repro/internal/netlist"
 )
 
-// The test-set cache: the ATPG counterpart of the learning cache. A full
+// The test-set cache, the store's second cache instance. A full
 // test-generation run is content-addressed by (learn fingerprint, canonical
 // fault-list digest, result-relevant run options), so a repeat /v1/atpg
 // request is a lookup instead of a PODEM rerun — the paper's amortization
@@ -22,13 +22,6 @@ import (
 // tests are replayed through the packed fault simulator (64 lanes per word
 // makes this a few milliseconds) and PODEM targets only the residue — the
 // classical incremental regression-ATPG flow.
-
-// ErrCanceled reports that the run (learning or ATPG) executing a request
-// was abandoned mid-flight — its client disconnected or its deadline
-// expired. Coalesced waiters whose own clients are alive retry; the
-// abandoning request's handler maps it to a 503 or 504. Canceled runs are
-// never cached.
-var ErrCanceled = errors.New("store: run canceled")
 
 // ATPGArtifact is one cached test-generation result. Immutable after
 // creation; safe to share across concurrent readers.
@@ -87,16 +80,12 @@ type ATPGReuse struct {
 	Diff          string `json:"diff,omitempty"` // first structural difference vs the seed circuit
 }
 
-type atpgEntry struct {
-	fp  string
-	art *ATPGArtifact
-}
-
-type atpgFlight struct {
-	done  chan struct{}
+// atpgValue is what the test-set cache holds: the artifact, paired with
+// the seeding record of the run that produced it. Memory hits drop the
+// record (it describes someone else's run); coalesced waiters share it.
+type atpgValue struct {
 	art   *ATPGArtifact
 	reuse *ATPGReuse
-	err   error
 }
 
 // ATPGFingerprint returns the content address of a test-generation run:
@@ -135,38 +124,11 @@ func PISignature(c *netlist.Circuit) []string {
 	return out
 }
 
-func sameSignature(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// chanceled polls a cooperative-cancel channel (nil never fires).
-func chanceled(ch <-chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
-	}
-}
-
-// ValidFingerprint reports whether s is a well-formed content address (64
-// lowercase hex digits) — the check the HTTP layer runs on
-// request-supplied fingerprints (reuse=, X-Circuit-Fingerprint) before
-// they reach lookups or error messages.
-func ValidFingerprint(s string) bool { return validFingerprint(s) }
-
-// validFingerprint reports whether s is a well-formed content address: 64
-// lowercase hex digits. Request-supplied fingerprints (reuse=) must pass
-// this before they are sliced for display or joined into a disk path.
-func validFingerprint(s string) bool {
+// ValidFingerprint reports whether s is a well-formed content address: 64
+// lowercase hex digits. Request-supplied fingerprints (reuse=,
+// X-Circuit-Fingerprint) must pass it before they reach lookups, are
+// sliced for error messages or are joined into a disk path.
+func ValidFingerprint(s string) bool {
 	if len(s) != 64 {
 		return false
 	}
@@ -201,7 +163,7 @@ func (s *Store) ATPG(req ATPGRequest) (*ATPGArtifact, Source, *ATPGReuse, error)
 	// request instead of silently running from scratch.
 	var seed *ATPGArtifact
 	if req.Reuse != "" && req.Reuse != "auto" {
-		if !validFingerprint(req.Reuse) {
+		if !ValidFingerprint(req.Reuse) {
 			return nil, SourceLearned, nil, fmt.Errorf(
 				"store: malformed reuse fingerprint %q: want 64 lowercase hex digits or \"auto\"", req.Reuse)
 		}
@@ -209,34 +171,34 @@ func (s *Store) ATPG(req ATPGRequest) (*ATPGArtifact, Source, *ATPGReuse, error)
 		if seed, err = s.lookupSeed(req.Reuse, c); err != nil {
 			return nil, SourceLearned, nil, err
 		}
-		if !sameSignature(seed.PISignature, PISignature(c)) {
+		if !slices.Equal(seed.PISignature, PISignature(c)) {
 			return nil, SourceLearned, nil, fmt.Errorf(
 				"store: reuse %s: primary-input signature mismatch (%d PIs vs %d)",
 				req.Reuse[:12], len(seed.PISignature), len(c.PIs))
 		}
 	}
 
-	for {
-		art, src, reuse, err := s.atpgResolve(fp, req, seed)
-		if errors.Is(err, ErrCanceled) && !chanceled(req.Options.Cancel) {
-			// The request that was executing the run lost its client; ours
-			// is still here. Take over with a fresh attempt.
-			continue
-		}
-		return art, src, reuse, err
+	v, src, err := s.atpg.get(fp, job[atpgValue]{
+		cancel: req.Options.Cancel,
+		load: func() (atpgValue, error) {
+			art, err := s.loadDiskATPG(fp, c)
+			return atpgValue{art: art}, err
+		},
+		compute: func() (atpgValue, error) { return s.runATPG(fp, req, seed) },
+		save:    func(v atpgValue) error { return s.saveDiskATPG(v.art) },
+	})
+	if src == SourceMemory {
+		v.reuse = nil
 	}
+	return v.art, src, v.reuse, err
 }
 
 // lookupSeed finds a seed artifact by fingerprint: memory first, then disk
 // (tests + PI signature only — the seed's circuit need not be resident).
 func (s *Store) lookupSeed(fp string, c *netlist.Circuit) (*ATPGArtifact, error) {
-	s.mu.Lock()
-	if el, ok := s.atpgByFP[fp]; ok {
-		art := el.Value.(*atpgEntry).art
-		s.mu.Unlock()
-		return art, nil
+	if v, ok := s.atpg.peek(fp, false); ok {
+		return v.art, nil
 	}
-	s.mu.Unlock()
 	if s.diskAvailable() {
 		art, err := s.loadDiskATPG(fp, nil)
 		if err == nil {
@@ -253,86 +215,18 @@ func (s *Store) lookupSeed(fp string, c *netlist.Circuit) (*ATPGArtifact, error)
 func (s *Store) autoSeed(sig []string) *ATPGArtifact {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for el := s.atpgLRU.Front(); el != nil; el = el.Next() {
-		if art := el.Value.(*atpgEntry).art; sameSignature(art.PISignature, sig) {
+	for el := s.atpg.lru.Front(); el != nil; el = el.Next() {
+		if art := el.Value.(*cacheEntry[atpgValue]).v.art; slices.Equal(art.PISignature, sig) {
 			return art
 		}
 	}
 	return nil
 }
 
-// atpgResolve is the LRU + singleflight layer for one fingerprint.
-func (s *Store) atpgResolve(fp string, req ATPGRequest, seed *ATPGArtifact) (*ATPGArtifact, Source, *ATPGReuse, error) {
-	s.mu.Lock()
-	if el, ok := s.atpgByFP[fp]; ok {
-		s.atpgLRU.MoveToFront(el)
-		s.atpgHits.Inc()
-		art := el.Value.(*atpgEntry).art
-		s.mu.Unlock()
-		return art, SourceMemory, nil, nil
-	}
-	if f, ok := s.atpgInflight[fp]; ok {
-		s.atpgCoalesced.Inc()
-		s.mu.Unlock()
-		// A coalesced waiter whose own client disconnects must release its
-		// compute slot immediately, not ride out the flight owner's run.
-		select {
-		case <-f.done:
-		case <-req.Options.Cancel:
-			return nil, SourceCoalesced, nil, ErrCanceled
-		}
-		if f.err != nil {
-			return nil, SourceCoalesced, nil, f.err
-		}
-		return f.art, SourceCoalesced, f.reuse, nil
-	}
-	f := &atpgFlight{done: make(chan struct{})}
-	s.atpgInflight[fp] = f
-	s.mu.Unlock()
-
-	art, src, reuse, err := s.atpgBuild(fp, req, seed)
-
-	s.mu.Lock()
-	delete(s.atpgInflight, fp)
-	switch {
-	case err != nil:
-		if errors.Is(err, ErrCanceled) {
-			s.atpgCanceled.Inc()
-		}
-	case src == SourceDisk:
-		s.atpgDiskHits.Inc()
-		if _, self := s.saved.Load(fp); !self {
-			s.atpgPeerDiskHits.Inc()
-		}
-		s.insertATPGLocked(fp, art)
-	default:
-		s.atpgMisses.Inc()
-		s.atpgRuns.Inc()
-		if reuse != nil {
-			s.atpgReuses.Inc()
-		}
-		s.insertATPGLocked(fp, art)
-	}
-	s.mu.Unlock()
-
-	f.art, f.reuse, f.err = art, reuse, err
-	close(f.done)
-	return art, src, reuse, err
-}
-
-// atpgBuild produces the artifact outside the store lock: from disk if
-// persisted, otherwise by running the generator (seeded when reuse found a
-// donor), then persisting best-effort.
-func (s *Store) atpgBuild(fp string, req ATPGRequest, seed *ATPGArtifact) (*ATPGArtifact, Source, *ATPGReuse, error) {
+// runATPG executes the generator for a test-set cache miss, seeded when
+// reuse found a donor.
+func (s *Store) runATPG(fp string, req ATPGRequest, seed *ATPGArtifact) (atpgValue, error) {
 	c := req.Artifact.Circuit
-	if s.diskAvailable() {
-		art, err := s.loadDiskATPG(fp, c)
-		if err == nil {
-			return art, SourceDisk, nil, nil
-		}
-		s.noteDiskError(err)
-	}
-
 	sig := PISignature(c)
 	if seed == nil && req.Reuse == "auto" {
 		seed = s.autoSeed(sig)
@@ -356,9 +250,10 @@ func (s *Store) atpgBuild(fp string, req ATPGRequest, seed *ATPGArtifact) (*ATPG
 
 	res := atpg.Run(c, ropt)
 	if res.Canceled {
-		return nil, SourceLearned, reuse, ErrCanceled
+		return atpgValue{}, ErrCanceled
 	}
 	if reuse != nil {
+		s.atpgReuses.Inc()
 		// Seeding is how this run happened, not part of what the key
 		// defines, so the seed counts live in the per-request ATPGReuse and
 		// are zeroed in the cached result: a later exact-key hit that never
@@ -374,29 +269,5 @@ func (s *Store) atpgBuild(fp string, req ATPGRequest, seed *ATPGArtifact) (*ATPG
 		PISignature: sig,
 		Result:      res,
 	}
-	if s.diskAvailable() {
-		if err := s.saveDiskATPG(art); err != nil {
-			s.noteDiskError(err)
-		} else {
-			s.saved.Store(fp, struct{}{})
-		}
-	}
-	return art, SourceLearned, reuse, nil
-}
-
-// insertATPGLocked adds the artifact at the LRU front and evicts past
-// MaxEntries. Callers hold s.mu.
-func (s *Store) insertATPGLocked(fp string, art *ATPGArtifact) {
-	if el, ok := s.atpgByFP[fp]; ok {
-		s.atpgLRU.MoveToFront(el)
-		el.Value.(*atpgEntry).art = art
-		return
-	}
-	s.atpgByFP[fp] = s.atpgLRU.PushFront(&atpgEntry{fp: fp, art: art})
-	for s.atpgLRU.Len() > s.opt.MaxEntries {
-		back := s.atpgLRU.Back()
-		delete(s.atpgByFP, back.Value.(*atpgEntry).fp)
-		s.atpgLRU.Remove(back)
-		s.atpgEvictions.Inc()
-	}
+	return atpgValue{art: art, reuse: reuse}, nil
 }

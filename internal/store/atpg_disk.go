@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/atpg"
@@ -26,14 +27,9 @@ import (
 
 const testsFormatTag = "seqatpg-tests 1"
 
-// diskTestsPath returns the file path for an ATPG artifact fingerprint.
-func (s *Store) diskTestsPath(fp string) string {
-	return filepath.Join(s.opt.Dir, fp[:2], fp+".tests")
-}
-
 // saveDiskATPG persists the artifact.
 func (s *Store) saveDiskATPG(art *ATPGArtifact) error {
-	path := s.diskTestsPath(art.Fingerprint)
+	path := s.diskPath(art.Fingerprint, ".tests")
 	if err := s.fs.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
@@ -104,7 +100,7 @@ func parseStatus(b byte) (atpg.FaultStatus, bool) {
 // loaded — enough to replay. Any inconsistency is an error and the caller
 // falls back to running.
 func (s *Store) loadDiskATPG(fp string, c *netlist.Circuit) (*ATPGArtifact, error) {
-	f, err := s.fs.Open(s.diskTestsPath(fp))
+	f, err := s.fs.Open(s.diskPath(fp, ".tests"))
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +149,7 @@ func (s *Store) loadDiskATPG(fp string, c *netlist.Circuit) (*ATPGArtifact, erro
 	if fmt.Sprint(len(art.PISignature)) != piFields[1] {
 		return nil, fail("pi count mismatch")
 	}
-	if c != nil && !sameSignature(art.PISignature, PISignature(c)) {
+	if c != nil && !slices.Equal(art.PISignature, PISignature(c)) {
 		return nil, fail("primary-input signature does not match the circuit")
 	}
 

@@ -5,7 +5,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/atpg"
 	"repro/internal/bench"
@@ -222,7 +221,7 @@ func TestATPGDiskCorruptionFallsBackToRunning(t *testing.T) {
 
 	// Truncate the artifact mid-file; the restarted store must re-run, then
 	// repair the entry.
-	path := s1.diskTestsPath(a1.Fingerprint)
+	path := s1.diskPath(a1.Fingerprint, ".tests")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +258,7 @@ func TestOrphanedTiesSwept(t *testing.T) {
 	art := mustLearn(t, s1, c)
 
 	// Simulate a writer that crashed between the .ties and .imply renames.
-	implyPath, tiesPath := s1.diskPaths(art.Fingerprint)
+	implyPath, tiesPath := s1.diskPath(art.Fingerprint, ".imply"), s1.diskPath(art.Fingerprint, ".ties")
 	if err := os.Remove(implyPath); err != nil {
 		t.Fatal(err)
 	}
@@ -376,40 +375,6 @@ func TestATPGMalformedReuse(t *testing.T) {
 	}
 	if s.Stats().ATPGRuns != 0 {
 		t.Fatal("a malformed reuse value triggered a run")
-	}
-}
-
-// TestATPGCoalescedWaiterCancel pins the slot-release guarantee for
-// coalesced requests: a waiter whose own client disconnects must return
-// ErrCanceled immediately instead of riding out the flight owner's run.
-func TestATPGCoalescedWaiterCancel(t *testing.T) {
-	s := New(Options{})
-	c := circuits.Figure2()
-	art := mustLearn(t, s, c)
-
-	// A flight that never completes, standing in for a long run in progress.
-	fp := strings.Repeat("a", 64)
-	f := &atpgFlight{done: make(chan struct{})}
-	s.mu.Lock()
-	s.atpgInflight[fp] = f
-	s.mu.Unlock()
-
-	canceled := make(chan struct{})
-	close(canceled)
-	opt := atpgOpts(art)
-	opt.Cancel = canceled
-	got := make(chan error, 1)
-	go func() {
-		_, _, _, err := s.atpgResolve(fp, ATPGRequest{Artifact: art, Options: opt}, nil)
-		got <- err
-	}()
-	select {
-	case err := <-got:
-		if err != ErrCanceled {
-			t.Fatalf("coalesced waiter err = %v, want ErrCanceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("coalesced waiter blocked on the flight despite its cancel firing")
 	}
 }
 

@@ -34,10 +34,10 @@ import (
 // paths downgrades the store to memory-only (see degrade.go) instead of
 // failing the request that happened to touch the disk.
 
-// diskPaths returns the two file paths for a fingerprint.
-func (s *Store) diskPaths(fp string) (implyPath, tiesPath string) {
-	dir := filepath.Join(s.opt.Dir, fp[:2])
-	return filepath.Join(dir, fp+".imply"), filepath.Join(dir, fp+".ties")
+// diskPath returns the sharded path of a fingerprint's file with the
+// given extension (".imply", ".ties" or ".tests").
+func (s *Store) diskPath(fp, ext string) string {
+	return filepath.Join(s.opt.Dir, fp[:2], fp+ext)
 }
 
 // saveDisk persists the artifact. The ties file is written first and the
@@ -45,7 +45,7 @@ func (s *Store) diskPaths(fp string) (implyPath, tiesPath string) {
 // a crash between the two renames leaves a harmless orphan, never a
 // half-artifact.
 func (s *Store) saveDisk(art *Artifact) error {
-	implyPath, tiesPath := s.diskPaths(art.Fingerprint)
+	implyPath, tiesPath := s.diskPath(art.Fingerprint, ".imply"), s.diskPath(art.Fingerprint, ".ties")
 	if err := s.fs.MkdirAll(filepath.Dir(implyPath), 0o755); err != nil {
 		return err
 	}
@@ -75,7 +75,7 @@ func (s *Store) saveDisk(art *Artifact) error {
 // Any inconsistency (missing file, unknown node name, malformed line) is
 // an error; the caller falls back to learning.
 func (s *Store) loadDisk(fp string, c *netlist.Circuit) (*Artifact, error) {
-	implyPath, tiesPath := s.diskPaths(fp)
+	implyPath, tiesPath := s.diskPath(fp, ".imply"), s.diskPath(fp, ".ties")
 	rf, err := s.fs.Open(implyPath)
 	if err != nil {
 		// A .ties without its .imply is the debris of a writer that crashed

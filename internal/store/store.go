@@ -1,26 +1,28 @@
-// Package store is a content-addressed cache of learning artifacts: the
-// frozen implication snapshot and tied-gate list produced by one learning
-// run, keyed by the SHA-256 fingerprint of the circuit's canonical .bench
-// form plus the learning options (Fingerprint). It is the "learn once,
-// reuse everywhere" half of the service layer: the paper computes its
-// implication database in one cheap preprocessing pass and amortizes it
-// across every subsequent ATPG query, and the store extends that
-// amortization across requests, processes and daemon restarts.
+// Package store is a content-addressed cache of the two artifacts the
+// service layer reuses: learning artifacts (the frozen implication
+// snapshot and tied-gate list of one learning run, keyed by Fingerprint:
+// the SHA-256 of the circuit's canonical .bench form plus the learning
+// options) and test sets (one ATPG run against a learning artifact, keyed
+// by ATPGFingerprint). It is the "learn once, reuse everywhere" half of
+// the service: the paper computes its implication database in one cheap
+// preprocessing pass and amortizes it across every subsequent ATPG query,
+// and the store extends that amortization across requests, processes and
+// daemon restarts.
 //
-// Three layers, checked in order:
+// Both kinds go through one cache type (cache.go), instantiated twice and
+// checked in three layers:
 //
-//  1. An in-memory LRU of frozen artifacts (immutable, shared by any
-//     number of concurrent readers without locks).
+//  1. An in-memory LRU of immutable artifacts, shared by any number of
+//     concurrent readers without locks.
 //  2. Singleflight: N concurrent requests for the same fingerprint block
-//     on one learning run instead of triggering N.
-//  3. Optional on-disk persistence (Options.Dir) through the imply
-//     serialization format, so a restarted daemon warms from disk instead
-//     of re-learning.
+//     on one run instead of triggering N.
+//  3. Optional on-disk persistence (Options.Dir), so a restarted daemon
+//     warms from disk instead of re-running (disk.go, atpg_disk.go).
+//
+// Each kind supplies only its load, compute and save.
 package store
 
 import (
-	"container/list"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,9 +90,8 @@ type Artifact struct {
 	CombTies []learn.Tie
 	SeqTies  []learn.Tie
 
-	// EquivClasses is the number of verified gate-equivalence classes (0
-	// for artifacts reloaded from disk, which persist only relations and
-	// ties).
+	// EquivClasses is the number of verified gate-equivalence classes
+	// (persisted in the .ties header, so disk reloads report it too).
 	EquivClasses int
 
 	// LearnDuration is the wall-clock cost of the learning run that
@@ -173,8 +174,8 @@ type Stats struct {
 	ATPGInFlight     int   `json:"atpg_in_flight"` // ATPG runs executing right now
 }
 
-// Store caches learning artifacts by fingerprint. All methods are safe for
-// concurrent use.
+// Store caches learning artifacts and the test sets generated from them,
+// by fingerprint. All methods are safe for concurrent use.
 type Store struct {
 	opt Options
 	fs  FS
@@ -191,40 +192,18 @@ type Store struct {
 	// dir — the fleet's cross-instance amortization signal).
 	saved sync.Map // fingerprint -> struct{}
 
-	mu       sync.Mutex
-	lru      *list.List // of *entry, most recent first
-	byFP     map[string]*list.Element
-	inflight map[string]*flight
+	// mu guards both caches' LRU and in-flight state.
+	mu    sync.Mutex
+	learn *cache[*Artifact]
+	atpg  *cache[atpgValue]
 
-	// The test-set cache: a second LRU + singleflight over ATPG artifacts
-	// (see atpg.go), sharing the mutex and the disk directory.
-	atpgLRU      *list.List // of *atpgEntry, most recent first
-	atpgByFP     map[string]*list.Element
-	atpgInflight map[string]*atpgFlight
-
-	// All counters live in the obs registry (Options.Metrics); /v1/stats
-	// reads the same cells /metrics exports, so the two views cannot drift.
-	hits, coalesced, diskHits, peerDiskHits, misses, learns, evictions,
-	diskFails, learnCanceled, degradations *obs.Counter
-
-	atpgHits, atpgCoalesced, atpgDiskHits, atpgPeerDiskHits, atpgMisses,
-	atpgRuns, atpgEvictions, atpgReuses, atpgCanceled *obs.Counter
+	// Store-wide counters; the per-cache ones live in learn and atpg. All
+	// of them are cells of the obs registry (Options.Metrics), so
+	// /v1/stats reads what /metrics exports and the two cannot drift.
+	diskFails, degradations, atpgReuses *obs.Counter
 }
 
-type entry struct {
-	fp  string
-	art *Artifact
-}
-
-// flight is one in-progress learning (or disk-load) run that concurrent
-// requests for the same fingerprint wait on.
-type flight struct {
-	done chan struct{}
-	art  *Artifact
-	err  error
-}
-
-// New returns a store. When opt.Dir is set, artifacts learned through this
+// New returns a store. When opt.Dir is set, artifacts built through this
 // store are persisted there and future stores (including in later
 // processes) warm from it.
 func New(opt Options) *Store {
@@ -233,65 +212,18 @@ func New(opt Options) *Store {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	s := &Store{
-		opt:          opt,
-		fs:           opt.FS,
-		lru:          list.New(),
-		byFP:         map[string]*list.Element{},
-		inflight:     map[string]*flight{},
-		atpgLRU:      list.New(),
-		atpgByFP:     map[string]*list.Element{},
-		atpgInflight: map[string]*atpgFlight{},
-	}
+	s := &Store{opt: opt, fs: opt.FS}
 	if opt.Dir != "" {
 		s.fs = newCountingFS(s.fs, reg)
 	}
-	s.registerMetrics(reg)
-	return s
-}
-
-// registerMetrics claims the store's counter and gauge cells in the
-// registry. The learn and test-set caches share family names distinguished
-// by a cache label, keeping the /metrics catalog compact.
-func (s *Store) registerMetrics(reg *obs.Registry) {
-	learnL := obs.Label{Key: "cache", Value: "learn"}
-	atpgL := obs.Label{Key: "cache", Value: "atpg"}
-
-	hitHelp := "In-memory LRU hits."
-	coalHelp := "Requests that waited on an in-flight run for the same fingerprint."
-	diskHelp := "Artifacts reloaded from the on-disk cache."
-	missHelp := "Requests that found nothing cached."
-	evictHelp := "LRU evictions."
-	s.hits = reg.Counter("seqlearnd_cache_hits_total", hitHelp, learnL)
-	s.coalesced = reg.Counter("seqlearnd_cache_coalesced_total", coalHelp, learnL)
-	s.diskHits = reg.Counter("seqlearnd_cache_disk_hits_total", diskHelp, learnL)
-	s.misses = reg.Counter("seqlearnd_cache_misses_total", missHelp, learnL)
-	s.evictions = reg.Counter("seqlearnd_cache_evictions_total", evictHelp, learnL)
-	s.atpgHits = reg.Counter("seqlearnd_cache_hits_total", hitHelp, atpgL)
-	s.atpgCoalesced = reg.Counter("seqlearnd_cache_coalesced_total", coalHelp, atpgL)
-	s.atpgDiskHits = reg.Counter("seqlearnd_cache_disk_hits_total", diskHelp, atpgL)
-	peerHelp := "Disk reloads of artifacts persisted by another instance sharing the cache dir."
-	s.peerDiskHits = reg.Counter("seqlearnd_cache_peer_disk_hits_total", peerHelp, learnL)
-	s.atpgPeerDiskHits = reg.Counter("seqlearnd_cache_peer_disk_hits_total", peerHelp, atpgL)
-	s.atpgMisses = reg.Counter("seqlearnd_cache_misses_total", missHelp, atpgL)
-	s.atpgEvictions = reg.Counter("seqlearnd_cache_evictions_total", evictHelp, atpgL)
-
-	s.learns = reg.Counter("seqlearnd_learn_runs_total",
-		"Learning runs actually executed (cache misses that went to compute).")
-	s.learnCanceled = reg.Counter("seqlearnd_learn_canceled_total",
-		"Learning runs abandoned mid-flight by their client or deadline.")
-	s.atpgRuns = reg.Counter("seqlearnd_atpg_runs_total",
-		"ATPG runs actually executed.")
+	s.learn = newCache[*Artifact](s, reg, "learn")
+	s.atpg = newCache[atpgValue](s, reg, "atpg")
 	s.atpgReuses = reg.Counter("seqlearnd_atpg_reuses_total",
 		"ATPG runs seeded by another artifact's test set.")
-	s.atpgCanceled = reg.Counter("seqlearnd_atpg_canceled_total",
-		"ATPG runs abandoned mid-flight by their client or deadline.")
-
 	s.diskFails = reg.Counter("seqlearnd_disk_fails_total",
 		"Failed disk cache reads/writes (misses excluded).")
 	s.degradations = reg.Counter("seqlearnd_degradations_total",
 		"Times the store entered the memory-only degraded state.")
-
 	reg.GaugeFunc("seqlearnd_store_degraded",
 		"1 while the disk cache is offline and the store serves memory-only.",
 		func() float64 {
@@ -300,30 +232,7 @@ func (s *Store) registerMetrics(reg *obs.Registry) {
 			}
 			return 0
 		})
-	reg.GaugeFunc("seqlearnd_cache_entries", "Artifacts currently in memory.",
-		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.lru.Len())
-		}, learnL)
-	reg.GaugeFunc("seqlearnd_cache_entries", "Artifacts currently in memory.",
-		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.atpgLRU.Len())
-		}, atpgL)
-	reg.GaugeFunc("seqlearnd_cache_in_flight", "Runs executing right now.",
-		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(len(s.inflight))
-		}, learnL)
-	reg.GaugeFunc("seqlearnd_cache_in_flight", "Runs executing right now.",
-		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(len(s.atpgInflight))
-		}, atpgL)
+	return s
 }
 
 // Learn resolves the artifact for (c, lopt), running at most one learning
@@ -340,106 +249,26 @@ func (s *Store) Learn(c *netlist.Circuit, lopt learn.Options) (*Artifact, Source
 	// the cached artifact is the same either way.
 	lopt.KeepRows = false
 	fp := Fingerprint(c, lopt)
-	for {
-		art, src, err := s.learnResolve(fp, c, lopt)
-		if errors.Is(err, ErrCanceled) && !chanceled(lopt.Cancel) {
-			// The request executing the run lost its client; ours is still
-			// here. Take over with a fresh attempt.
-			continue
-		}
-		return art, src, err
-	}
-}
-
-// learnResolve is the LRU + singleflight layer for one fingerprint.
-func (s *Store) learnResolve(fp string, c *netlist.Circuit, lopt learn.Options) (*Artifact, Source, error) {
-	s.mu.Lock()
-	if el, ok := s.byFP[fp]; ok {
-		s.lru.MoveToFront(el)
-		s.hits.Inc()
-		art := el.Value.(*entry).art
-		s.mu.Unlock()
-		return art, SourceMemory, nil
-	}
-	if f, ok := s.inflight[fp]; ok {
-		s.coalesced.Inc()
-		s.mu.Unlock()
-		// A coalesced waiter whose own client disconnects must release its
-		// compute slot immediately, not ride out the flight owner's run.
-		select {
-		case <-f.done:
-		case <-lopt.Cancel:
-			return nil, SourceCoalesced, ErrCanceled
-		}
-		if f.err != nil {
-			return nil, SourceCoalesced, f.err
-		}
-		return f.art, SourceCoalesced, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	s.inflight[fp] = f
-	s.mu.Unlock()
-
-	art, src, err := s.build(fp, c, lopt)
-
-	s.mu.Lock()
-	delete(s.inflight, fp)
-	switch {
-	case err != nil:
-		if errors.Is(err, ErrCanceled) {
-			s.learnCanceled.Inc()
-		}
-	case src == SourceDisk:
-		s.diskHits.Inc()
-		if _, self := s.saved.Load(fp); !self {
-			s.peerDiskHits.Inc()
-		}
-		s.insertLocked(fp, art)
-	default:
-		s.misses.Inc()
-		s.learns.Inc()
-		s.insertLocked(fp, art)
-	}
-	s.mu.Unlock()
-
-	f.art, f.err = art, err
-	close(f.done)
-	return art, src, err
-}
-
-// build produces the artifact for fp outside the store lock: from disk if
-// persisted, otherwise by running learning (and then persisting,
-// best-effort). Disk failures downgrade the store to memory-only
-// (degrade.go) instead of failing the request.
-func (s *Store) build(fp string, c *netlist.Circuit, lopt learn.Options) (*Artifact, Source, error) {
-	if s.diskAvailable() {
-		art, err := s.loadDisk(fp, c)
-		if err == nil {
-			return art, SourceDisk, nil
-		}
-		s.noteDiskError(err)
-	}
-	lr := learn.Learn(c, lopt)
-	if lr.Canceled {
-		return nil, SourceLearned, ErrCanceled
-	}
-	art := &Artifact{
-		Fingerprint:   fp,
-		Circuit:       c,
-		DB:            lr.DB,
-		CombTies:      lr.CombTies,
-		SeqTies:       lr.SeqTies,
-		EquivClasses:  len(lr.EquivClasses),
-		LearnDuration: lr.Stats.Duration,
-	}
-	if s.diskAvailable() {
-		if err := s.saveDisk(art); err != nil {
-			s.noteDiskError(err)
-		} else {
-			s.saved.Store(fp, struct{}{})
-		}
-	}
-	return art, SourceLearned, nil
+	return s.learn.get(fp, job[*Artifact]{
+		cancel: lopt.Cancel,
+		load:   func() (*Artifact, error) { return s.loadDisk(fp, c) },
+		compute: func() (*Artifact, error) {
+			lr := learn.Learn(c, lopt)
+			if lr.Canceled {
+				return nil, ErrCanceled
+			}
+			return &Artifact{
+				Fingerprint:   fp,
+				Circuit:       c,
+				DB:            lr.DB,
+				CombTies:      lr.CombTies,
+				SeqTies:       lr.SeqTies,
+				EquivClasses:  len(lr.EquivClasses),
+				LearnDuration: lr.Stats.Duration,
+			}, nil
+		},
+		save: s.saveDisk,
+	})
 }
 
 // Cached returns the in-memory learning artifact for a fingerprint, if
@@ -449,63 +278,40 @@ func (s *Store) build(fp string, c *netlist.Circuit, lopt learn.Options) (*Artif
 // on-disk format stores relations by node name and needs the circuit to
 // rebuild, which is exactly the upload the fast path exists to skip.
 func (s *Store) Cached(fp string) (*Artifact, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.byFP[fp]; ok {
-		s.lru.MoveToFront(el)
-		s.hits.Inc()
-		return el.Value.(*entry).art, true
-	}
-	return nil, false
-}
-
-// insertLocked adds the artifact at the LRU front and evicts from the back
-// past MaxEntries. Callers hold s.mu.
-func (s *Store) insertLocked(fp string, art *Artifact) {
-	if el, ok := s.byFP[fp]; ok {
-		s.lru.MoveToFront(el)
-		el.Value.(*entry).art = art
-		return
-	}
-	s.byFP[fp] = s.lru.PushFront(&entry{fp: fp, art: art})
-	for s.lru.Len() > s.opt.MaxEntries {
-		back := s.lru.Back()
-		delete(s.byFP, back.Value.(*entry).fp)
-		s.lru.Remove(back)
-		s.evictions.Inc()
-	}
+	return s.learn.peek(fp, true)
 }
 
 // Stats returns a consistent snapshot of the counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	l, a := s.learn, s.atpg
 	return Stats{
-		Entries:      s.lru.Len(),
-		Hits:         s.hits.Value(),
-		Coalesced:    s.coalesced.Value(),
-		DiskHits:     s.diskHits.Value(),
-		PeerDiskHits: s.peerDiskHits.Value(),
-		Misses:       s.misses.Value(),
-		Learns:       s.learns.Value(),
-		Evictions:    s.evictions.Value(),
+		Entries:      l.lru.Len(),
+		Hits:         l.hits.Value(),
+		Coalesced:    l.coalesced.Value(),
+		DiskHits:     l.diskHits.Value(),
+		PeerDiskHits: l.peerDiskHits.Value(),
+		Misses:       l.misses.Value(),
+		Learns:       l.runs.Value(),
+		Evictions:    l.evictions.Value(),
 		DiskFails:    s.diskFails.Value(),
-		InFlight:     len(s.inflight),
+		InFlight:     len(l.inflight),
 
-		LearnCanceled: s.learnCanceled.Value(),
+		LearnCanceled: l.canceled.Value(),
 		Degraded:      s.degraded.Load(),
 		Degradations:  s.degradations.Value(),
 
-		ATPGEntries:      s.atpgLRU.Len(),
-		ATPGHits:         s.atpgHits.Value(),
-		ATPGCoalesced:    s.atpgCoalesced.Value(),
-		ATPGDiskHits:     s.atpgDiskHits.Value(),
-		ATPGPeerDiskHits: s.atpgPeerDiskHits.Value(),
-		ATPGMisses:       s.atpgMisses.Value(),
-		ATPGRuns:         s.atpgRuns.Value(),
-		ATPGEvictions:    s.atpgEvictions.Value(),
+		ATPGEntries:      a.lru.Len(),
+		ATPGHits:         a.hits.Value(),
+		ATPGCoalesced:    a.coalesced.Value(),
+		ATPGDiskHits:     a.diskHits.Value(),
+		ATPGPeerDiskHits: a.peerDiskHits.Value(),
+		ATPGMisses:       a.misses.Value(),
+		ATPGRuns:         a.runs.Value(),
+		ATPGEvictions:    a.evictions.Value(),
 		ATPGReuses:       s.atpgReuses.Value(),
-		ATPGCanceled:     s.atpgCanceled.Value(),
-		ATPGInFlight:     len(s.atpgInflight),
+		ATPGCanceled:     a.canceled.Value(),
+		ATPGInFlight:     len(a.inflight),
 	}
 }

@@ -206,7 +206,7 @@ func TestDiskCorruptionFallsBackToLearning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	implyPath, _ := s1.diskPaths(art.Fingerprint)
+	implyPath := s1.diskPath(art.Fingerprint, ".imply")
 	if err := os.WriteFile(implyPath, []byte("not a relation line\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
