@@ -8,6 +8,7 @@
 //	seqatpg -bench design.bench -mode known -max-faults 500
 //	seqatpg -circuit s5378 -workers 8   # sharded driver; counts identical to -workers 1
 //	seqatpg -circuit s1423 -compact     # reverse-order fault-sim test compaction
+//	seqatpg -circuit s1423 -trace       # also print the run's span tree
 //	seqatpg -circuit s1423 -remote http://127.0.0.1:8344   # via a seqlearnd daemon
 //	seqatpg -circuit s5378 -remote http://a:8344,http://b:8344   # scatter/gather across a fleet
 package main
@@ -24,6 +25,7 @@ import (
 	"repro/internal/atpg"
 	"repro/internal/bench"
 	"repro/internal/circuits"
+	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/learn"
 	"repro/internal/netlist"
@@ -43,6 +45,7 @@ func main() {
 		compact   = flag.Bool("compact", false, "drop redundant tests by reverse-order fault simulation after generation")
 		remote    = flag.String("remote", "", "run against seqlearnd at this base URL instead of in-process; a comma-separated list scatters one shard per daemon and merges bit-identically")
 		reuse     = flag.String("reuse", "", "with -remote: seed from a cached test set (\"auto\" or a tests fingerprint) and run PODEM only on the residue")
+		trace     = flag.Bool("trace", false, "print the run's span tree (parse, learn, collapse, atpg with its podem and fault_sim aggregates) after the results")
 		version   = flag.Bool("version", false, "print build identity and exit")
 	)
 	flag.IntVar(workers, "j", 0, "alias for -workers")
@@ -53,7 +56,21 @@ func main() {
 		return
 	}
 
+	// The span tree is the one perfbench's atpg-campaign reads; a nil
+	// trace makes every span call a no-op.
+	var tr *obs.Trace
+	if *trace {
+		if *remote != "" {
+			fmt.Fprintln(os.Stderr, "seqatpg: -trace is in-process only")
+			os.Exit(1)
+		}
+		tr = obs.NewTrace("seqatpg", "seqatpg")
+	}
+	root := tr.Root()
+
+	sp := root.Start("parse")
 	c, err := load(*circuit, *benchFile)
+	sp.End()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "seqatpg:", err)
 		os.Exit(1)
@@ -89,7 +106,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	lr := learn.Learn(c, learn.Options{Parallelism: *workers})
+	sp = root.Start("learn")
+	lr := learn.Learn(c, learn.Options{Parallelism: *workers, Span: sp})
+	sp.End()
 	// The no-learning baseline knows only what combinational learning can
 	// know (the convention of the Table 5 harness and the service); the
 	// learning modes get all ties.
@@ -102,8 +121,14 @@ func main() {
 	for w := 1; w <= *maxWin; w *= 2 {
 		windows = append(windows, w)
 	}
+	sp = root.Start("collapse")
+	faults, _ := fault.Collapse(c)
+	sp.End()
+	sp = root.Start("atpg")
 	res := atpg.Run(c, atpg.RunOptions{
+		Faults:       faults,
 		MaxFaults:    *maxFaults,
+		Span:         sp,
 		Parallelism:  *workers,
 		CompactTests: *compact,
 		ATPG: atpg.Options{
@@ -115,6 +140,8 @@ func main() {
 			FillSeed:       0x7e57,
 		},
 	})
+	sp.End()
+	root.End()
 	fmt.Printf("%s: %s\n", c.Name, c.Stats())
 	fmt.Printf("mode=%s backtrack-limit=%d\n", m, *limit)
 	fmt.Printf("faults=%d detected=%d untestable=%d aborted=%d\n",
@@ -123,6 +150,9 @@ func main() {
 		100*res.Coverage(), 100*res.TestCoverage(), len(res.Tests), res.Backtracks, res.Duration)
 	if *compact {
 		fmt.Printf("compaction dropped %d redundant tests\n", res.TestsCompacted)
+	}
+	if tr != nil {
+		tr.JSON().Root.WriteText(os.Stdout)
 	}
 	if res.VerifyFailures > 0 {
 		fmt.Fprintf(os.Stderr, "seqatpg: %d tests failed independent verification\n", res.VerifyFailures)

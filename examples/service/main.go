@@ -14,7 +14,6 @@ import (
 	"net/http"
 	"os"
 
-	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/seqlearn"
 )
@@ -87,20 +86,5 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("\ncold ATPG span tree (request %s):\n", traced.Trace.ID)
-	printSpan(traced.Trace.Root, 1)
-}
-
-// printSpan renders one span and its children, indented by depth.
-func printSpan(sp *obs.SpanTree, depth int) {
-	if sp == nil {
-		return
-	}
-	attrs := ""
-	for k, v := range sp.Attrs {
-		attrs += fmt.Sprintf(" %s=%d", k, v)
-	}
-	fmt.Printf("%*s%-12s %8.1fms%s\n", 2*depth, "", sp.Name, sp.DurationMS, attrs)
-	for _, child := range sp.Children {
-		printSpan(child, depth+1)
-	}
+	traced.Trace.Root.WriteText(os.Stdout)
 }

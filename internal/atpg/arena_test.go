@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/gen"
+	"repro/internal/imply"
 	"repro/internal/learn"
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -67,16 +68,33 @@ func checkIdle(t *testing.T, a *arena) {
 			}
 		}
 	}
-	if len(e.trail) != 0 || len(e.queue) != 0 || len(a.stack) != 0 || e.dCount != 0 || e.conflict {
-		t.Fatalf("arena left busy: trail %d queue %d stack %d dCount %d conflict %v",
-			len(e.trail), len(e.queue), len(a.stack), e.dCount, e.conflict)
+	if len(e.trail) != 0 || len(e.queue) != 0 || len(a.stack) != 0 || len(e.dfront) != 0 || e.conflict {
+		t.Fatalf("arena left busy: trail %d queue %d stack %d dfront %d conflict %v",
+			len(e.trail), len(e.queue), len(a.stack), len(e.dfront), e.conflict)
+	}
+}
+
+// checkForbidden asserts the cell invariant the implication fast path
+// relies on: no cell holds a good value one of its forbidden bits rules
+// out. Every cell write is trailed, so checking the trailed cells covers
+// the whole model.
+func checkForbidden(t *testing.T, e *expanded) {
+	t.Helper()
+	for _, te := range e.trail {
+		at := te.at
+		v, forb := e.values[at.t][at.n], e.forb[at.t][at.n]
+		if g := v.Good(); (g == logic.Zero && forb&1 != 0) || (g == logic.One && forb&2 != 0) {
+			t.Fatalf("frame %d node %s holds %v but is forbidden %02b",
+				at.t, e.c.NameOf(at.n), v, forb)
+		}
 	}
 }
 
 // TestArenaReuseMatchesFreshGenerate is the oracle for arena reuse: every
 // collapsed fault searched through one long-lived arena, in list order and
 // in reverse, must give exactly the Result a fresh Generate gives, and must
-// leave the arena idle. A state leak from one fault into the next shows up
+// leave the arena idle; after every settle its cells must respect their
+// forbidden marks. A state leak from one fault into the next shows up
 // as a differing outcome, window, backtrack count or test.
 func TestArenaReuseMatchesFreshGenerate(t *testing.T) {
 	circuits := []*netlist.Circuit{gen.MustBuild("s382"), randCircuit(17)}
@@ -98,6 +116,7 @@ func TestArenaReuseMatchesFreshGenerate(t *testing.T) {
 				reverse := slices.Clone(order)
 				slices.Reverse(reverse)
 				a := newArena(c, &opt)
+				a.e.settleHook = func(e *expanded) { checkForbidden(t, e) }
 				for _, pass := range [][]int{order, reverse} {
 					for _, i := range pass {
 						got := a.generate(faults[i], &opt)
@@ -112,47 +131,136 @@ func TestArenaReuseMatchesFreshGenerate(t *testing.T) {
 	}
 }
 
-// TestArenaSteadyStateAllocs: once an arena has searched a fault, searching
-// it again allocates nothing unless the search emits a test — and then only
-// the test itself (the frame slice plus one PI vector per frame).
-func TestArenaSteadyStateAllocs(t *testing.T) {
-	c := gen.MustBuild("s953")
-	lr := learn.Learn(c, learn.Options{})
-	faults, _ := fault.Collapse(c)
-	opt := arenaConfigs(c, lr)[1].opt // forbidden mode: relations and forbidden marks
-	opt.prepare(c)
-	a := newArena(c, &opt)
+// wideCircuit is a small sequential circuit of 12-input AND, NOR and XOR
+// gates, some pins inverted: wider than any fixed-size evaluation buffer.
+func wideCircuit() *netlist.Circuit {
+	b := netlist.NewBuilder("wide12")
+	var ins []netlist.Ref
+	for i := range 10 {
+		name := fmt.Sprintf("i%d", i)
+		b.PI(name)
+		if i%3 == 0 {
+			ins = append(ins, netlist.N(name))
+		} else {
+			ins = append(ins, netlist.P(name))
+		}
+	}
+	ins = append(ins, netlist.P("q1"), netlist.N("q2"))
+	b.Gate("a", logic.OpAnd, ins...)
+	b.Gate("n", logic.OpNor, ins...)
+	b.Gate("x", logic.OpXor, ins...)
+	b.DFF("q1", netlist.P("x"), netlist.Clock{})
+	b.DFF("q2", netlist.N("a"), netlist.Clock{})
+	b.PO("oa", netlist.P("a"))
+	b.PO("on", netlist.P("n"))
+	b.PO("ox", netlist.P("x"))
+	return b.MustBuild()
+}
 
-	// A fixed sample with a few faults of every outcome.
-	const perOutcome = 4
-	picked := map[Outcome][]fault.Fault{}
-	full := 0
-	for _, f := range faults {
-		out := a.generate(f, &opt).Outcome
-		if len(picked[out]) < perOutcome {
-			picked[out] = append(picked[out], f)
-			if len(picked[out]) == perOutcome {
-				if full++; full == 3 {
-					break
+// checkSteadyAllocs searches f again through a warmed arena: it must
+// allocate nothing unless the search emits a test, and then only the test
+// itself (the frame slice plus one PI vector per frame).
+func checkSteadyAllocs(t *testing.T, a *arena, f fault.Fault, opt *Options) {
+	t.Helper()
+	var res Result
+	allocs := testing.AllocsPerRun(3, func() { res = a.generate(f, opt) })
+	want := 0.0
+	if res.Outcome == Detected {
+		want = float64(1 + res.Window)
+	}
+	if allocs != want {
+		t.Errorf("%v fault %s (window %d): %.1f allocs per search, want %.0f",
+			res.Outcome, f, res.Window, allocs, want)
+	}
+}
+
+// TestArenaSteadyStateAllocs: once an arena has searched a fault, searching
+// it again allocates nothing unless the search emits a test — on s953 and
+// on a circuit of wide gates alike.
+func TestArenaSteadyStateAllocs(t *testing.T) {
+	t.Run("s953", func(t *testing.T) {
+		c := gen.MustBuild("s953")
+		lr := learn.Learn(c, learn.Options{})
+		faults, _ := fault.Collapse(c)
+		opt := arenaConfigs(c, lr)[1].opt // forbidden mode: relations and forbidden marks
+		opt.prepare(c)
+		a := newArena(c, &opt)
+
+		// A fixed sample with a few faults of every outcome.
+		const perOutcome = 4
+		picked := map[Outcome][]fault.Fault{}
+		full := 0
+		for _, f := range faults {
+			out := a.generate(f, &opt).Outcome
+			if len(picked[out]) < perOutcome {
+				picked[out] = append(picked[out], f)
+				if len(picked[out]) == perOutcome {
+					if full++; full == 3 {
+						break
+					}
 				}
 			}
 		}
-	}
-	for _, out := range []Outcome{Detected, Untestable, Aborted} {
-		if len(picked[out]) == 0 {
-			t.Fatalf("setup: no %v fault in s953's collapsed list", out)
+		for _, out := range []Outcome{Detected, Untestable, Aborted} {
+			if len(picked[out]) == 0 {
+				t.Fatalf("setup: no %v fault in s953's collapsed list", out)
+			}
+			for _, f := range picked[out] {
+				checkSteadyAllocs(t, a, f, &opt)
+			}
 		}
-		for _, f := range picked[out] {
-			var res Result
-			allocs := testing.AllocsPerRun(3, func() { res = a.generate(f, &opt) })
-			want := 0.0
-			if res.Outcome == Detected {
-				want = float64(1 + res.Window)
+	})
+	t.Run("wide12", func(t *testing.T) {
+		c := wideCircuit()
+		lr := learn.Learn(c, learn.Options{})
+		faults, _ := fault.Collapse(c)
+		for _, cfg := range arenaConfigs(c, lr) {
+			opt := cfg.opt
+			opt.prepare(c)
+			a := newArena(c, &opt)
+			for _, f := range faults {
+				a.generate(f, &opt)
+				checkSteadyAllocs(t, a, f, &opt)
 			}
-			if allocs != want {
-				t.Errorf("%v fault %s (window %d): %.1f allocs per search, want %.0f",
-					res.Outcome, f, res.Window, allocs, want)
-			}
+		}
+	})
+}
+
+// TestForbiddenMarkOnKnownConsequent pins why forbidden mode skips a
+// consequent only when its mark is already set, not when its value is
+// already known: on a node asserted by a tie, the mark a relation adds still
+// propagates into the node's X fanins. Here g = AND(a, b) is tied to 1 and
+// x=1 implies g=1; firing the relation forbids 0 on g and so on a and b.
+func TestForbiddenMarkOnKnownConsequent(t *testing.T) {
+	b := netlist.NewBuilder("tiedand")
+	for _, pi := range []string{"a", "b", "x"} {
+		b.PI(pi)
+	}
+	b.Gate("g", logic.OpAnd, netlist.P("a"), netlist.P("b"))
+	b.Gate("o", logic.OpOr, netlist.P("g"), netlist.P("x"))
+	b.PO("o", netlist.P("o"))
+	c := b.MustBuild()
+	g, x := c.MustLookup("g"), c.MustLookup("x")
+
+	db := imply.NewDB(c)
+	db.Add(imply.Lit{Node: x, Val: logic.One}, imply.Lit{Node: g, Val: logic.One}, 0, false, 0)
+	opt := Options{Mode: ModeForbidden, DB: db.Freeze(), Ties: []learn.Tie{{Node: g, Val: logic.One}}}
+	opt.prepare(c)
+	e := newArena(c, &opt).e
+	e.setFault(fault.Fault{Node: c.MustLookup("o"), Stuck: logic.Zero}, &opt)
+	e.w = 1
+	if !e.init() || e.values[0][g] != logic.One5 {
+		t.Fatalf("setup: tie not asserted, g = %v", e.values[0][g])
+	}
+	if !e.assignPI(fnode{0, x}, logic.One) {
+		t.Fatal("x=1 conflicted")
+	}
+	if e.forb[0][g] != 1 {
+		t.Errorf("g forbidden bits %02b, want 01 (must not be 0)", e.forb[0][g])
+	}
+	for _, in := range []string{"a", "b"} {
+		if n := c.MustLookup(in); e.forb[0][n] != 1 {
+			t.Errorf("fanin %s forbidden bits %02b, want 01 (must not be 0)", in, e.forb[0][n])
 		}
 	}
 }

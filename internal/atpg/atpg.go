@@ -157,69 +157,109 @@ func (o *Options) prepare(c *netlist.Circuit) {
 	o.rels = buildRelIndex(c, o.DB, o.Mode, o.UseCrossFrame)
 }
 
-// relIndex pre-compiles the same-frame relations of a DB into per-literal
-// lists with their validity depths, filtered by mode; cross-frame
-// relations are compiled separately and used only with UseCrossFrame.
+// relIndex pre-compiles the relations of a DB, filtered by mode, into flat
+// per-literal tables: same-frame consequents with their validity depths,
+// and, only with UseCrossFrame, cross-frame consequents with their frame
+// offsets.
 type relIndex struct {
-	implied [][]relTarget // indexed by 2*node+val
-	cross   [][]crossTarget
+	same, cross relTable
 }
 
-type relTarget struct {
-	lit   imply.Lit
-	depth int
+// relTable is a CSR list keyed by antecedent literal (litKey): literal k's
+// consequents are tgt[off[k]:off[k+1]], in relation order, each packed by
+// litKey too; arg is its validity depth (same-frame) or frame offset
+// (cross-frame).
+type relTable struct {
+	off []int32
+	tgt []uint32
+	arg []int32
 }
 
-type crossTarget struct {
-	lit imply.Lit
-	dt  int
-}
-
-func litKey(l imply.Lit) int {
-	k := 2 * int(l.Node)
+// litKey packs a literal as node<<1 | val (val 1 = One): its table row,
+// and the form a target is stored in.
+func litKey(l imply.Lit) uint32 {
+	k := uint32(l.Node) << 1
 	if l.Val == logic.One {
-		k++
+		k |= 1
 	}
 	return k
 }
 
+// litNode and litVal unpack a literal key or packed target.
+func litNode(k uint32) netlist.NodeID { return netlist.NodeID(k >> 1) }
+
+func litVal(k uint32) logic.V {
+	if k&1 != 0 {
+		return logic.One
+	}
+	return logic.Zero
+}
+
 func buildRelIndex(c *netlist.Circuit, db *imply.Snapshot, mode Mode, crossFrame bool) *relIndex {
+	nLits := 2 * c.NumNodes()
 	ri := &relIndex{
-		implied: make([][]relTarget, 2*c.NumNodes()),
-		cross:   make([][]crossTarget, 2*c.NumNodes()),
+		same:  relTable{off: make([]int32, nLits+1)},
+		cross: relTable{off: make([]int32, nLits+1)},
 	}
 	if db == nil {
 		return ri
 	}
-	for _, r := range db.Relations() {
-		if r.Dt != 0 {
-			if crossFrame && mode != ModeNoLearning {
-				ri.addCross(r.A, r.B, int(r.Dt))
-				ri.addCross(r.B.Not(), r.A.Not(), -int(r.Dt))
+	// Two passes over the relations in one order: the first counts each
+	// antecedent's consequents, the second places them, so every literal
+	// keeps relation order and nothing is allocated but the tables.
+	for _, place := range []bool{false, true} {
+		for _, r := range db.Relations() {
+			if r.Dt != 0 {
+				if crossFrame && mode != ModeNoLearning {
+					ri.cross.add(place, r.A, r.B, int32(r.Dt))
+					ri.cross.add(place, r.B.Not(), r.A.Not(), -int32(r.Dt))
+				}
+				continue
 			}
-			continue
+			if mode == ModeNoLearning && !db.IsCombinational(r.A, r.B, 0) {
+				continue
+			}
+			d := int32(db.DepthOf(r.A, r.B, 0))
+			ri.same.add(place, r.A, r.B, d)
+			ri.same.add(place, r.B.Not(), r.A.Not(), d)
 		}
-		comb := db.IsCombinational(r.A, r.B, 0)
-		if mode == ModeNoLearning && !comb {
-			continue
+		if !place {
+			ri.same.allocate()
+			ri.cross.allocate()
 		}
-		d := db.DepthOf(r.A, r.B, 0)
-		ri.add(r.A, r.B, d)
-		ri.add(r.B.Not(), r.A.Not(), d)
 	}
+	ri.same.finish()
+	ri.cross.finish()
 	return ri
 }
 
-func (ri *relIndex) add(a, b imply.Lit, depth int) {
+// add counts the entry a ⟹ b (counting pass) or places it (placing
+// pass). While placing, off[k] is literal k's next free slot.
+func (t *relTable) add(place bool, a, b imply.Lit, arg int32) {
 	k := litKey(a)
-	ri.implied[k] = append(ri.implied[k], relTarget{lit: b, depth: depth})
+	if !place {
+		t.off[k+1]++
+		return
+	}
+	i := t.off[k]
+	t.off[k]++
+	t.tgt[i] = litKey(b)
+	t.arg[i] = arg
 }
 
-func (ri *relIndex) of(l imply.Lit) []relTarget { return ri.implied[litKey(l)] }
-
-func (ri *relIndex) addCross(a, b imply.Lit, dt int) {
-	k := litKey(a)
-	ri.cross[k] = append(ri.cross[k], crossTarget{lit: b, dt: dt})
+// allocate turns the counts into start offsets and sizes the entries.
+func (t *relTable) allocate() {
+	for k := 1; k < len(t.off); k++ {
+		t.off[k] += t.off[k-1]
+	}
+	n := t.off[len(t.off)-1]
+	t.tgt = make([]uint32, n)
+	t.arg = make([]int32, n)
 }
 
-func (ri *relIndex) crossOf(l imply.Lit) []crossTarget { return ri.cross[litKey(l)] }
+// finish restores the start offsets: placing advanced each off[k] to the
+// start of literal k+1.
+func (t *relTable) finish() {
+	copy(t.off[1:], t.off[:len(t.off)-1])
+	t.off[0] = 0
+}

@@ -37,7 +37,14 @@ type expanded struct {
 	trail    []trailEntry
 	conflict bool
 	queue    []fnode // evaluation worklist
-	dCount   int     // nodes currently carrying a fault effect
+
+	// dfront holds the trail indices of the value entries that carry a
+	// fault effect (D or D̄), in trail order: the nodes whose fanouts form
+	// the D-frontier. Rollback truncates it with the trail.
+	dfront []int
+
+	// settleHook, when set (by tests), runs after every settle.
+	settleHook func(*expanded)
 }
 
 type fnode struct {
@@ -127,7 +134,7 @@ func (e *expanded) assign(at fnode, v logic.V5) bool {
 	}
 	e.values[at.t][at.n] = v
 	if v.Faulted() {
-		e.dCount++
+		e.dfront = append(e.dfront, len(e.trail))
 	}
 	e.trail = append(e.trail, trailEntry{at: at})
 	e.enqueueFanouts(at)
@@ -161,32 +168,64 @@ func (e *expanded) push(at fnode) {
 
 // applyRelations fires the learned same-frame relations for a good-known
 // literal (paper Section 4).
+//
+// Most consequents are already settled, typically by sibling consequences
+// of the same decision, and the mode-specific loops skip those inline
+// where applyOne would provably do nothing:
+//   - Forbidden mode skips a consequent w whose complement is already
+//     marked forbidden: markForbidden would return at once, and since no
+//     cell ever holds a good value it forbids, the good value is not ¬w,
+//     so the conflict check cannot fire. A known good value alone is no
+//     reason to skip: the mark would still propagate into X fanins.
+//   - Known and no-learning modes skip a consequent whose good value
+//     already is w: untainted nodes never hold D or D̄, so the assignment
+//     would be a no-op, and tainted nodes only get the conflict check.
 func (e *expanded) applyRelations(at fnode, g logic.V) bool {
-	if e.ri == nil {
-		return true
-	}
 	// Only trust the antecedent when it is a pure good-machine fact: on
 	// tainted nodes the composite good component is still the good
 	// machine's value, so the antecedent always holds for the good
 	// machine.
-	lit := imply.Lit{Node: at.n, Val: g}
-	for _, tgt := range e.ri.of(lit) {
-		if at.t < tgt.depth {
-			continue // not enough history in this window
+	k := litKey(imply.Lit{Node: at.n, Val: g})
+	same := &e.ri.same
+	lo, hi := same.off[k], same.off[k+1]
+	t := int32(at.t)
+	if e.mode == ModeForbidden {
+		forb := e.forb[at.t]
+		for i := lo; i < hi; i++ {
+			tg := same.tgt[i]
+			// bit of ¬w: must-not-be-0 (1) for w = 1, must-not-be-1 (2)
+			// for w = 0.
+			if t < same.arg[i] || forb[litNode(tg)]&(2>>(tg&1)) != 0 {
+				continue // not enough history in this window, or settled
+			}
+			if !e.applyOne(fnode{at.t, litNode(tg)}, litVal(tg)) {
+				return false
+			}
 		}
-		if !e.applyOne(fnode{at.t, tgt.lit.Node}, tgt.lit.Val) {
-			return false
+	} else {
+		vals := e.values[at.t]
+		for i := lo; i < hi; i++ {
+			tg := same.tgt[i]
+			w := litVal(tg)
+			if t < same.arg[i] || vals[litNode(tg)].Good() == w {
+				continue
+			}
+			if !e.applyOne(fnode{at.t, litNode(tg)}, w) {
+				return false
+			}
 		}
 	}
 	// Cross-frame relations (window extension): the consequent lands in a
 	// different frame; the in-window bound implies enough history for the
 	// direct relations learning stores.
-	for _, tgt := range e.ri.crossOf(lit) {
-		ft := at.t + tgt.dt
+	cross := &e.ri.cross
+	for i := cross.off[k]; i < cross.off[k+1]; i++ {
+		ft := at.t + int(cross.arg[i])
 		if ft < 0 || ft >= e.w {
 			continue
 		}
-		if !e.applyOne(fnode{ft, tgt.lit.Node}, tgt.lit.Val) {
+		tg := cross.tgt[i]
+		if !e.applyOne(fnode{ft, litNode(tg)}, litVal(tg)) {
 			return false
 		}
 	}
@@ -315,16 +354,10 @@ func (e *expanded) settle() bool {
 		e.queued[at.t][at.n] = false
 		e.eval(at)
 	}
-	return !e.conflict
-}
-
-// pin5 reads a fanin pin in frame t.
-func (e *expanded) pin5(t int, p netlist.Pin) logic.V5 {
-	v := e.values[t][p.Node]
-	if p.Inv {
-		v = v.Not5()
+	if e.settleHook != nil {
+		e.settleHook(e)
 	}
-	return v
+	return !e.conflict
 }
 
 // eval computes the value of a gate or a sequential capture.
@@ -332,16 +365,7 @@ func (e *expanded) eval(at fnode) {
 	nd := &e.c.Nodes[at.n]
 	switch nd.Kind {
 	case netlist.KindGate:
-		var buf [16]logic.V5
-		fanin := e.c.Fanin(at.n)
-		vals := buf[:0]
-		if cap(vals) < len(fanin) {
-			vals = make([]logic.V5, 0, len(fanin))
-		}
-		for _, p := range fanin {
-			vals = append(vals, e.pin5(at.t, p))
-		}
-		v := logic.Eval5Slice(nd.Op, vals)
+		v := eval5(nd.Op, e.c.Fanin(at.n), e.values[at.t])
 		if at.n == e.f.Node {
 			v = e.forceFault(v)
 		}
@@ -447,13 +471,15 @@ func (e *expanded) rollback(mark int) {
 		if te.forbBit != 0 {
 			e.forb[te.at.t][te.at.n] &^= te.forbBit
 		} else {
-			if e.values[te.at.t][te.at.n].Faulted() {
-				e.dCount--
-			}
 			e.values[te.at.t][te.at.n] = logic.X5
 		}
 	}
 	e.trail = e.trail[:mark]
+	n := len(e.dfront)
+	for n > 0 && e.dfront[n-1] >= mark {
+		n--
+	}
+	e.dfront = e.dfront[:n]
 	e.conflict = false
 	for _, at := range e.queue {
 		e.queued[at.t][at.n] = false

@@ -153,7 +153,7 @@ func (p *podem) search() Outcome {
 // nextObjective picks an activation or propagation objective and backtraces
 // it to an unassigned primary input decision.
 func (p *podem) nextObjective() (fnode, logic.V, bool) {
-	if p.e.dCount == 0 {
+	if len(p.e.dfront) == 0 {
 		// Activation: good value ¬stuck on the fault site in some frame.
 		want := p.f.Stuck.Not()
 		for t := 0; t < p.e.w; t++ {
@@ -167,21 +167,16 @@ func (p *podem) nextObjective() (fnode, logic.V, bool) {
 		}
 		return fnode{}, logic.X, false
 	}
-	// Propagation: D-frontier gates (output X, some input faulted).
-	for _, te := range p.e.trail {
-		if te.forbBit != 0 {
-			continue
-		}
-		v := p.e.values[te.at.t][te.at.n]
-		if !v.Faulted() {
-			continue
-		}
-		for _, out := range p.c.Fanouts(te.at.n) {
+	// Propagation: D-frontier gates (output X, some input faulted), in
+	// the order their faulted inputs were assigned.
+	for _, i := range p.e.dfront {
+		src := p.e.trail[i].at
+		for _, out := range p.c.Fanouts(src.n) {
 			nd := &p.c.Nodes[out]
 			if nd.Kind != netlist.KindGate {
 				continue
 			}
-			at := fnode{te.at.t, out}
+			at := fnode{src.t, out}
 			if p.e.values[at.t][at.n] != logic.X5 {
 				continue
 			}

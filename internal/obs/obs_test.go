@@ -214,6 +214,27 @@ func TestSpanTree(t *testing.T) {
 	}
 }
 
+// TestSpanTreeWriteText pins the text rendering: indentation by depth,
+// durations to 0.1 ms and attributes in key order.
+func TestSpanTreeWriteText(t *testing.T) {
+	tree := &SpanTree{Name: "op", DurationMS: 12.34, Children: []*SpanTree{
+		{Name: "learn", DurationMS: 2, Children: []*SpanTree{{Name: "single_node", DurationMS: 1.25}}},
+		{Name: "podem", DurationMS: 9.96, Attrs: map[string]int64{"targets": 7, "backtracks": 30}},
+	}}
+	var sb strings.Builder
+	if err := tree.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := "" +
+		"op                12.3ms\n" +
+		"  learn              2.0ms\n" +
+		"    single_node        1.2ms\n" +
+		"  podem             10.0ms backtracks=30 targets=7\n"
+	if sb.String() != want {
+		t.Fatalf("WriteText:\n%s\nwant:\n%s", sb.String(), want)
+	}
+}
+
 func TestNilSpanNoOps(t *testing.T) {
 	var s *Span
 	child := s.Start("x")

@@ -4,6 +4,10 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"fmt"
+	"io"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -182,6 +186,32 @@ func (s *Span) tree(origin time.Time) *SpanTree {
 		out.Children = append(out.Children, c.tree(origin))
 	}
 	return out
+}
+
+// WriteText renders the span and its subtree as indented text, one span a
+// line: name, duration and the attributes in key order. Children are
+// indented two spaces under their parent.
+func (s *SpanTree) WriteText(w io.Writer) error {
+	return s.writeText(w, 0)
+}
+
+func (s *SpanTree) writeText(w io.Writer, depth int) error {
+	if s == nil {
+		return nil
+	}
+	line := fmt.Sprintf("%*s%-12s %9.1fms", 2*depth, "", s.Name, s.DurationMS)
+	for _, k := range slices.Sorted(maps.Keys(s.Attrs)) {
+		line += fmt.Sprintf(" %s=%d", k, s.Attrs[k])
+	}
+	if _, err := fmt.Fprintln(w, line); err != nil {
+		return err
+	}
+	for _, c := range s.Children {
+		if err := c.writeText(w, depth+1); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Context plumbing: the server stores the request's trace in the request
