@@ -206,8 +206,7 @@ func BenchmarkParallelFaultSim(b *testing.B) {
 // sharded over one worker per core, all simulating the collapsed fault
 // list of s5378 against the same fixed random sequence. Detection maps are
 // bit-identical across all three (TestPackedFaultSimEquivalence); only the
-// wall clock differs. cmd/benchjson records this comparison in
-// BENCH_faultsim.json.
+// wall clock differs.
 func BenchmarkPackedFaultSim(b *testing.B) {
 	c := gen.MustBuild("s5378")
 	faults, _ := fault.Collapse(c)
@@ -250,7 +249,7 @@ func BenchmarkPackedFaultSim(b *testing.B) {
 // BENCH_SMOKE=1 it fails unless single-thread packed fault simulation on
 // s5378 beats the scalar simulator. The margin asserted here (2x) is far
 // below the recorded ~100x so scheduling noise cannot flake the job; the
-// real trajectory lives in BENCH_faultsim.json.
+// measured ratio lives in BenchmarkPackedFaultSim.
 func TestPackedFaultSimSpeedSmoke(t *testing.T) {
 	if os.Getenv("BENCH_SMOKE") == "" {
 		t.Skip("set BENCH_SMOKE=1 to run the packed-vs-scalar speed gate")
@@ -279,10 +278,8 @@ func TestPackedFaultSimSpeedSmoke(t *testing.T) {
 // captured once with learn.CaptureSweep — replayed through the scalar
 // engine route, through the packed 64-injections-per-word route on one
 // thread, and through the packed route sharded over one worker per core.
-// Every route simulates the same total frame count, and the learner built
-// on top of them is bit-identical across routes
-// (TestPackedLearningEquivalence); only the wall clock differs.
-// cmd/benchjson records this comparison in BENCH_learn.json.
+// Every route simulates the same total frame count; only the wall clock
+// differs.
 func BenchmarkPackedLearning(b *testing.B) {
 	c := gen.MustBuild("s5378")
 	w := learn.CaptureSweep(c, learn.Options{Parallelism: 1, SkipComb: true})
@@ -307,9 +304,10 @@ func BenchmarkPackedLearning(b *testing.B) {
 // speedup: with BENCH_SMOKE=1 it fails unless the single-thread packed
 // replay of the s5378 learning sweep beats the scalar replay. The margin
 // asserted here (3x) sits far below the recorded ~10x so scheduling noise
-// cannot flake the job; the real trajectory lives in BENCH_learn.json. The
-// two routes must also agree on the total simulated frame count — the cheap
-// equivalence check (the full bit-identity property runs in the race job as
+// cannot flake the job; the measured ratio lives in
+// BenchmarkPackedLearning. The two routes must also agree on the total
+// simulated frame count — the cheap equivalence check (the full
+// bit-identity property runs in the race job as
 // TestPackedLearningEquivalence).
 func TestPackedLearningSpeedSmoke(t *testing.T) {
 	if os.Getenv("BENCH_SMOKE") == "" {

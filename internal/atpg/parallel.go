@@ -138,7 +138,10 @@ func (st *runState) runParallel(workers int) {
 	}
 
 	for i := 0; i < n; i++ {
-		if stopped.Load() {
+		// Poll the channel itself, not the watcher's flag: a channel closed
+		// before the run starts must stop the merge at position 0 even if
+		// the watcher goroutine has not been scheduled yet.
+		if st.canceled() {
 			st.res.Canceled = true
 			break
 		}

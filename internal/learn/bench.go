@@ -3,7 +3,6 @@ package learn
 import (
 	"math/bits"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/imply"
@@ -18,11 +17,11 @@ var replaySink atomic.Int64
 
 // This file exports the learning sweep — the simulation stage of Learn,
 // everything the learner runs through a sim engine — as a replayable
-// workload, so benchmarks (cmd/benchjson -bench learn, the CI speed smoke)
-// can measure the scalar route against the packed route on exactly the
+// workload, so benchmarks (BenchmarkPackedLearning, the CI speed smoke)
+// can measure the scalar engine against the packed runner on exactly the
 // schedules a real learning run issues, without the shared analysis work
 // (record pairing, relation-database merges, equivalence identification)
-// that both routes pay identically.
+// that both pay identically.
 
 // sweepJob is one scheduled simulation of the workload.
 type sweepJob struct {
@@ -54,7 +53,7 @@ type SweepWorkload struct {
 // per-job frame caps, stage options and tie epochs are all snapshots.
 func CaptureSweep(c *netlist.Circuit, opt Options) *SweepWorkload {
 	w := &SweepWorkload{c: c}
-	learnWith(c, opt, w)
+	learnWith(c, opt, logic.W, w)
 	return w
 }
 
@@ -118,10 +117,10 @@ func copyTieMap(ties map[netlist.NodeID]logic.V) map[netlist.NodeID]logic.V {
 	return out
 }
 
-// ReplayScalar executes the workload one scheduled run at a time through a
-// scalar engine — the learner's DisablePacked route. It returns the total
-// number of simulated frames; every replay route returns the same count,
-// which the speed smoke uses as a cheap equivalence check.
+// ReplayScalar executes the workload through the scalar engine's
+// one-run-at-a-time replay: the speed smoke's denominator. It returns the
+// total number of simulated frames; every replay route returns the same
+// count, which the speed smoke uses as a cheap equivalence check.
 func (w *SweepWorkload) ReplayScalar() int {
 	eng := sim.NewEngine(w.c)
 	total := 0
@@ -150,29 +149,14 @@ func (w *SweepWorkload) ReplayPacked(lanes, workers int) int {
 	if lanes <= 0 || lanes > logic.W {
 		lanes = logic.W
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	engines := make([]*sim.PackedEngine, workers)
-	engines[0] = sim.NewPackedEngine(w.c)
-	for i := 1; i < workers; i++ {
-		engines[i] = engines[0].Clone()
-	}
+	pool := newEnginePool(w.c, workers)
 	total := 0
 	for i := range w.stages {
 		st := &w.stages[i]
-		engines[0].SetTies(st.ties)
-		for _, e := range engines[1:] {
-			e.CopyTies(engines[0])
-		}
-		nb := (len(st.jobs) + lanes - 1) / lanes
-		counts := make([]int, nb)
-		runBatch := func(pe *sim.PackedEngine, b int) {
-			lo := b * lanes
-			hi := lo + lanes
-			if hi > len(st.jobs) {
-				hi = len(st.jobs)
-			}
+		pool.setTies(st.ties)
+		counts := make([]int, batchCount(len(st.jobs), lanes))
+		pool.run(len(counts), nil, func(pe *sim.PackedEngine, b int) {
+			lo, hi := batchSpan(b, len(st.jobs), lanes)
 			runs := make([]sim.LaneRun, hi-lo)
 			for k := range runs {
 				j := st.jobs[lo+k]
@@ -203,33 +187,7 @@ func (w *SweepWorkload) ReplayPacked(lanes, workers int) int {
 				}
 			}
 			counts[b] = n
-		}
-		if workers == 1 || nb <= 1 {
-			for b := 0; b < nb; b++ {
-				runBatch(engines[0], b)
-			}
-		} else {
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			nw := workers
-			if nw > nb {
-				nw = nb
-			}
-			wg.Add(nw)
-			for wk := 0; wk < nw; wk++ {
-				go func(pe *sim.PackedEngine) {
-					defer wg.Done()
-					for {
-						b := int(next.Add(1)) - 1
-						if b >= nb {
-							return
-						}
-						runBatch(pe, b)
-					}
-				}(engines[wk])
-			}
-			wg.Wait()
-		}
+		})
 		for _, n := range counts {
 			total += n
 		}

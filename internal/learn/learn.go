@@ -87,28 +87,13 @@ type Options struct {
 	// single-node, multiple-node and classical combinational sweeps (0
 	// selects runtime.GOMAXPROCS(0); 1 runs fully serial; oversized
 	// requests are clamped to a few workers per core). Each worker owns a
-	// cloned engine (or a private single-frame implication engine for the
-	// combinational sweep) and records into a private shard; shards are
-	// merged in canonical order, so the learned relations, ties,
-	// equivalences, statistics and serialized database are bit-identical
-	// for every worker count. Packing composes with sharding: each worker
-	// drains whole lane batches, for Parallelism × PackedLanes learning
-	// machines in flight.
+	// cloned packed engine (or a private single-frame implication engine
+	// for the combinational sweep) and records into a private shard;
+	// shards are merged in canonical order, so the learned relations,
+	// ties, equivalences, statistics and serialized database are
+	// bit-identical for every worker count. Each worker drains whole
+	// 64-lane batches, for 64 × Parallelism learning machines in flight.
 	Parallelism int
-
-	// DisablePacked routes the single- and multiple-node simulation sweeps
-	// through the scalar engine one injection at a time instead of packing
-	// PackedLanes injections per word through the scheduled packed runner.
-	// Results are bit-identical either way (the differential suite
-	// enforces it); the flag exists as a debug escape hatch and for the
-	// equivalence tests themselves.
-	DisablePacked bool
-
-	// PackedLanes caps how many learning machines are packed per scheduled
-	// batch (default and maximum logic.W = 64, the word width; lower
-	// values exercise lane-boundary handling in tests). Ignored when
-	// DisablePacked is set.
-	PackedLanes int
 
 	// Cancel, when non-nil, aborts the run cooperatively: it is checked
 	// between phases and at injection boundaries of the single- and
@@ -136,9 +121,6 @@ func (o *Options) defaults() {
 		o.MaxPairsPerStem = 1 << 20
 	}
 	o.Parallelism = sim.ClampWorkers(o.Parallelism)
-	if o.PackedLanes <= 0 || o.PackedLanes > logic.W {
-		o.PackedLanes = logic.W
-	}
 }
 
 // Normalized returns the options with unset fields folded to their
@@ -229,15 +211,11 @@ type learner struct {
 	db  *imply.DB // mutable builder, frozen into res.DB by finish
 	res *Result
 
-	// engines holds one scheduled simulator per worker; engines[0] doubles
-	// as the serial engine. Tie constants are kept in sync via setTies.
-	engines []*sim.Engine
-
-	// packed holds one 64-lane scheduled simulator per worker (nil when
-	// Options.DisablePacked): the single- and multiple-node sweeps batch
-	// their injections through these, PackedLanes machines per run. Tie
-	// constants are kept in sync with the scalar pool via setTies.
-	packed []*sim.PackedEngine
+	// pool holds one 64-lane scheduled simulator per worker: the single-
+	// and multiple-node sweeps batch their injections through these, lanes
+	// machines per run. Tie constants are kept in sync via setTies.
+	pool  enginePool
+	lanes int
 
 	// records per class: observed literal -> producing stem assignments.
 	records []map[imply.Lit][]record
@@ -277,11 +255,13 @@ type rowKey struct {
 
 // Learn runs the full sequential learning flow on c.
 func Learn(c *netlist.Circuit, opt Options) *Result {
-	return learnWith(c, opt, nil)
+	return learnWith(c, opt, logic.W, nil)
 }
 
-// learnWith is Learn with an optional sweep-workload recorder attached.
-func learnWith(c *netlist.Circuit, opt Options, trace *SweepWorkload) *Result {
+// learnWith is Learn with the lane count per packed batch (1..logic.W;
+// the lane-boundary tests set fewer) and an optional sweep-workload
+// recorder attached.
+func learnWith(c *netlist.Circuit, opt Options, lanes int, trace *SweepWorkload) *Result {
 	opt.defaults()
 	start := time.Now()
 
@@ -289,23 +269,13 @@ func learnWith(c *netlist.Circuit, opt Options, trace *SweepWorkload) *Result {
 		trace:    trace,
 		c:        c,
 		opt:      opt,
+		lanes:    lanes,
 		db:       imply.NewDB(c),
 		res:      &Result{Ties: map[netlist.NodeID]logic.V{}},
 		tieFrame: map[netlist.NodeID]int{},
 		rowCache: map[rowKey]*sim.Result{},
 	}
-	l.engines = make([]*sim.Engine, opt.Parallelism)
-	l.engines[0] = sim.NewEngine(c)
-	for i := 1; i < len(l.engines); i++ {
-		l.engines[i] = l.engines[0].Clone()
-	}
-	if !opt.DisablePacked {
-		l.packed = make([]*sim.PackedEngine, opt.Parallelism)
-		l.packed[0] = sim.NewPackedEngine(c)
-		for i := 1; i < len(l.packed); i++ {
-			l.packed[i] = l.packed[0].Clone()
-		}
-	}
+	l.pool = newEnginePool(c, opt.Parallelism)
 	l.dFeeder = make([]bool, c.NumNodes())
 	for _, id := range c.Seqs {
 		l.dFeeder[c.Nodes[id].Seq.D.Node] = true
@@ -449,9 +419,9 @@ type stemRows struct {
 }
 
 // singleNode runs the single-node learning phase for one class: the stem
-// injections are sharded over the worker pool — packed into 64-lane
-// batches unless DisablePacked — then recorded by a serial merge in stem
-// order, so the outcome is identical to a serial scalar sweep.
+// injections are packed into 64-lane batches sharded over the worker pool,
+// then recorded by a serial merge in stem order, so the outcome is
+// identical to a serial sweep of one injection at a time.
 func (l *learner) singleNode(cls int32, records map[imply.Lit][]record) {
 	modes := sim.PropModes(l.c, nil, cls)
 	stems := l.stemsFor(cls)
@@ -467,22 +437,7 @@ func (l *learner) singleNode(cls int32, records map[imply.Lit][]record) {
 	// (each stem appears once per pass), so it is frozen here and the
 	// workers read it lock-free; new entries are inserted by the merge.
 	out := make([]stemRows, len(stems))
-	if l.packed != nil {
-		l.singleNodePacked(stems, opt, out)
-	} else {
-		l.runParallel(len(stems), func(eng *sim.Engine, i int) {
-			s := stems[i]
-			for _, v := range []logic.V{logic.Zero, logic.One} {
-				if cached, ok := l.rowCache[rowKey{stem: s, val: v}]; ok {
-					out[i].rows[v-logic.Zero] = *cached
-					continue
-				}
-				out[i].simmed[v-logic.Zero] = true
-				out[i].rows[v-logic.Zero] = eng.Run(
-					[]sim.Injection{{Frame: 0, Node: s, Val: v}}, opt)
-			}
-		})
-	}
+	l.singleNodePacked(stems, opt, out)
 	if l.trace != nil {
 		l.traceSingle(stems, opt, out)
 	}
@@ -648,29 +603,11 @@ func (l *learner) prepTarget(lit imply.Lit, recs []record, o *targetOut) []sim.I
 	return append(inj, sim.Injection{Frame: T, Node: target.Node, Val: target.Val})
 }
 
-// collectImplied harvests the frame-T assignments implied by the target
-// into the target's shard, skipping the target itself, tied gates and
-// gate-gate pairs (which follow from the gate-FF relations, Section 3).
-func (l *learner) collectImplied(lit imply.Lit, frame sim.Frame, o *targetOut) {
-	for _, a := range frame {
-		if a.Node == lit.Node {
-			continue
-		}
-		if _, tied := l.res.Ties[a.Node]; tied {
-			continue
-		}
-		if !l.c.IsSeq(lit.Node) && !l.c.IsSeq(a.Node) {
-			continue
-		}
-		o.implied = append(o.implied, imply.Lit{Node: a.Node, Val: a.Val})
-	}
-}
-
 // multiNode runs the multiple-node learning phase for one class. Targets
 // are independent within a pass (ties proven here are applied only
-// afterwards), so they shard over the worker pool — packed into 64-lane
-// batches unless DisablePacked; the serial merge in sorted target order
-// reproduces the serial scalar pass exactly.
+// afterwards), so they pack into 64-lane batches sharded over the worker
+// pool; the serial merge in sorted target order reproduces a serial pass
+// of one target at a time exactly.
 func (l *learner) multiNode(cls int32, records map[imply.Lit][]record) {
 	ties := l.tiesForSim()
 	modes := sim.PropModes(l.c, ties, cls)
@@ -697,31 +634,7 @@ func (l *learner) multiNode(cls int32, records map[imply.Lit][]record) {
 	// Parallel sweep. Workers read l.res.Ties and records but never write
 	// shared state; every observation lands in the target's private shard.
 	out := make([]targetOut, len(targets))
-	if l.packed != nil {
-		l.multiNodePacked(targets, records, opt, out)
-	} else {
-		l.runParallel(len(targets), func(eng *sim.Engine, i int) {
-			lit := targets[i]
-			o := &out[i]
-			inj := l.prepTarget(lit, records[lit], o)
-			if inj == nil {
-				return
-			}
-			lopt := opt
-			lopt.MaxFrames = o.T + 1
-			res := eng.Run(inj, lopt)
-			o.simmed = true
-			o.frames = len(res.Frames)
-			if res.Conflict {
-				o.clash = true
-				return
-			}
-			if len(res.Frames) <= o.T {
-				return
-			}
-			l.collectImplied(lit, res.Frames[o.T], o)
-		})
-	}
+	l.multiNodePacked(targets, records, opt, out)
 	if l.trace != nil {
 		l.traceMulti(targets, records, opt, out)
 	}

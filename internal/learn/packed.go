@@ -11,15 +11,14 @@ import (
 	"repro/internal/sim"
 )
 
-// This file routes the learning hot path through sim.PackedEngine: instead
-// of one scalar Engine.Run per injection, up to Options.PackedLanes stem or
-// target injections pack into the lanes of one scheduled run, so a single
-// compiled-program sweep advances 64 learning machines at once. Packing
-// composes with the worker sharding in parallel.go — each worker drains
-// whole batches — and every lane reproduces the scalar engine bit for bit
-// (sim.TestRunScheduledMatchesEngine), so the serial merges in learn.go
-// are oblivious to the route and the learned result is identical for every
-// batch size and worker count (TestPackedLearningEquivalence).
+// This file is the learner's simulation route through sim.PackedEngine: up
+// to 64 stem or target injections pack into the lanes of one scheduled
+// run, so a single compiled-program sweep advances 64 learning machines at
+// once. Packing composes with the worker sharding in parallel.go — each
+// worker drains whole batches — and every lane reproduces the scalar
+// engine bit for bit (sim.TestRunScheduledMatchesEngine), so the learned
+// result is identical for every batch size and worker count and matches
+// the digests pinned in testdata (TestPackedLearningEquivalence).
 
 // compareSchedules orders injection schedules by their leading node, then
 // lexicographically by (node, frame, value) — the clustering key for packed
@@ -39,19 +38,15 @@ func compareSchedules(a, b []sim.Injection) int {
 	return cmp.Compare(len(a), len(b))
 }
 
-// batchCount returns how many PackedLanes-sized batches cover n jobs.
-func (l *learner) batchCount(n int) int {
-	return (n + l.opt.PackedLanes - 1) / l.opt.PackedLanes
+// batchCount returns how many batches of lanes jobs cover n jobs.
+func batchCount(n, lanes int) int {
+	return (n + lanes - 1) / lanes
 }
 
 // batchSpan returns the job range [lo, hi) of batch b.
-func (l *learner) batchSpan(b, n int) (lo, hi int) {
-	lo = b * l.opt.PackedLanes
-	hi = lo + l.opt.PackedLanes
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
+func batchSpan(b, n, lanes int) (lo, hi int) {
+	lo = b * lanes
+	return lo, min(lo+lanes, n)
 }
 
 // singleNodePacked is the packed simulation stage of the single-node
@@ -76,8 +71,8 @@ func (l *learner) singleNodePacked(stems []netlist.NodeID, opt sim.Options, out 
 			jobs = append(jobs, job{idx: i, vi: vi, val: v})
 		}
 	}
-	l.runPackedParallel(l.batchCount(len(jobs)), func(pe *sim.PackedEngine, b int) {
-		lo, hi := l.batchSpan(b, len(jobs))
+	l.runParallel(batchCount(len(jobs), l.lanes), func(pe *sim.PackedEngine, b int) {
+		lo, hi := batchSpan(b, len(jobs), l.lanes)
 		runs := make([]sim.LaneRun, hi-lo)
 		injs := make([]sim.Injection, hi-lo)
 		for k := range runs {
@@ -93,15 +88,14 @@ func (l *learner) singleNodePacked(stems []netlist.NodeID, opt sim.Options, out 
 	})
 }
 
-// multiNodePacked is the packed counterpart of the multiple-node worker
-// body: stage one derives every target's necessary-assignment schedule
-// (engine-free, sharded over the scalar worker pool), stage two packs the
-// targets that need simulation into lane batches with per-lane T+1 frame
-// caps. Conflicts and implied assignments land in target-private shards,
-// exactly as the scalar path leaves them.
+// multiNodePacked is the simulation stage of the multiple-node sweep:
+// stage one derives every target's necessary-assignment schedule
+// (engine-free, sharded over the worker pool), stage two packs the targets
+// that need simulation into lane batches with per-lane T+1 frame caps.
+// Conflicts and implied assignments land in target-private shards.
 func (l *learner) multiNodePacked(targets []imply.Lit, records map[imply.Lit][]record, opt sim.Options, out []targetOut) {
 	injs := make([][]sim.Injection, len(targets))
-	l.runParallel(len(targets), func(_ *sim.Engine, i int) {
+	l.runParallel(len(targets), func(_ *sim.PackedEngine, i int) {
 		injs[i] = l.prepTarget(targets[i], records[targets[i]], &out[i])
 	})
 	simIdx := make([]int, 0, len(targets))
@@ -125,8 +119,8 @@ func (l *learner) multiNodePacked(targets []imply.Lit, records map[imply.Lit][]r
 		return compareSchedules(injs[a], injs[b])
 	})
 	opt.NoFrameRecords = true // only Captured frame T is read back
-	l.runPackedParallel(l.batchCount(len(simIdx)), func(pe *sim.PackedEngine, b int) {
-		lo, hi := l.batchSpan(b, len(simIdx))
+	l.runParallel(batchCount(len(simIdx), l.lanes), func(pe *sim.PackedEngine, b int) {
+		lo, hi := batchSpan(b, len(simIdx), l.lanes)
 		runs := make([]sim.LaneRun, hi-lo)
 		for k := range runs {
 			i := simIdx[lo+k]
@@ -142,11 +136,12 @@ func (l *learner) multiNodePacked(targets []imply.Lit, records map[imply.Lit][]r
 				o.clash = true
 			}
 		}
-		// The packed form of collectImplied: walk each captured group once,
-		// bit-iterating the lanes per union entry. Group entries are sorted
-		// by node and each target sits in exactly one group, so every
-		// target's implied list comes out in the order the scalar route
-		// appends it.
+		// Harvest the frame-T assignments implied by each target, skipping
+		// the target itself, tied gates and gate-gate pairs (which follow
+		// from the gate-FF relations, Section 3). Each captured group is
+		// walked once, bit-iterating the lanes per union entry. Group
+		// entries are sorted by node and each target sits in exactly one
+		// group, so every target's implied list comes out in node order.
 		var seqLit [logic.W]bool
 		for k := range runs {
 			seqLit[k] = l.c.IsSeq(targets[simIdx[lo+k]].Node)

@@ -1,73 +1,156 @@
 package learn
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/netlist"
 )
 
-// TestPackedLearningEquivalence is the packed learner's contract: for
-// every batch size and worker count, routing the single- and multiple-node
-// sweeps through the 64-lane scheduled runner leaves the learned database
-// dump, ties, equivalences, rows and statistics byte-identical to the
-// scalar serial learner.
-func TestPackedLearningEquivalence(t *testing.T) {
-	for _, name := range []string{"s953", "s1423"} {
-		c := gen.MustBuild(name)
-		base := dumpResult(c, Learn(c, Options{
-			Parallelism: 1, KeepRows: true, DisablePacked: true,
-		}))
+// updateGolden rewrites testdata/learn_digests.txt from the serial
+// full-width learner:
+//
+//	go test ./internal/learn -run TestPackedLearning -update-golden
+//
+// The pinned digests were recorded from a serial learner that ran one
+// scalar engine run per injection, so every lanes × workers combination
+// below is still checked against one-at-a-time simulation. Regenerate only
+// for a change meant to alter learned results.
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/learn_digests.txt")
+
+const digestPath = "testdata/learn_digests.txt"
+
+// fixture is one pinned learning run: a circuit and the options whose
+// dumpResult digest the fixture file records.
+type fixture struct {
+	name    string
+	circuit func() *netlist.Circuit
+	opt     Options
+}
+
+// ablations are the option branches whose simulation configurations differ:
+// gating, equivalence partners, the early-stop ablation and tie fixpoint
+// feedback.
+var ablations = []Options{
+	{SingleNodeOnly: true, SkipComb: true},
+	{DisableTies: true, SkipComb: true},
+	{DisableEquiv: true},
+	{DisableEarlyStop: true, SkipComb: true},
+	{TieFixpoint: true},
+}
+
+func fixtures() []fixture {
+	suite := func(name string) func() *netlist.Circuit {
+		return func() *netlist.Circuit { return gen.MustBuild(name) }
+	}
+	fs := []fixture{
+		{"s953/rows", suite("s953"), Options{KeepRows: true}},
+		{"s1423/rows", suite("s1423"), Options{KeepRows: true}},
+		{"multiclock5/frames10", func() *netlist.Circuit { return multiClockCircuit(5) }, Options{MaxFrames: 10}},
+	}
+	for i, opt := range ablations {
+		fs = append(fs, fixture{fmt.Sprintf("s953/ablation%d", i), suite("s953"), opt})
+	}
+	return fs
+}
+
+// dumpDigest hashes the full observable dump of a learning result.
+func dumpDigest(c *netlist.Circuit, res *Result) string {
+	sum := sha256.Sum256([]byte(dumpResult(c, res)))
+	return hex.EncodeToString(sum[:])
+}
+
+// wantDigests loads the fixture file, first rewriting it from serial runs
+// under -update-golden.
+func wantDigests(t *testing.T) map[string]string {
+	t.Helper()
+	if *updateGolden {
+		var sb strings.Builder
+		for _, f := range fixtures() {
+			c := f.circuit()
+			opt := f.opt
+			opt.Parallelism = 1
+			fmt.Fprintf(&sb, "%s %s\n", f.name, dumpDigest(c, Learn(c, opt)))
+		}
+		if err := os.MkdirAll(filepath.Dir(digestPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(digestPath, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(digestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		name, digest, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("malformed digest line %q", line)
+		}
+		want[name] = digest
+	}
+	return want
+}
+
+// checkFixtures learns every fixture the name filter matches for
+// each batch size and worker count and compares the dump digest against the
+// pinned one: packing and sharding must leave the learned database,
+// ties, equivalences, rows and statistics byte-identical to the recorded
+// serial run.
+func checkFixtures(t *testing.T, match func(name string) bool) {
+	want := wantDigests(t)
+	n := 0
+	for _, f := range fixtures() {
+		if !match(f.name) {
+			continue
+		}
+		n++
+		digest, ok := want[f.name]
+		if !ok {
+			t.Fatalf("%s: no pinned digest in %s", f.name, digestPath)
+		}
+		c := f.circuit()
 		for _, lanes := range []int{1, 7, 64} {
 			for _, p := range []int{1, 3, runtime.GOMAXPROCS(0)} {
-				got := dumpResult(c, Learn(c, Options{
-					Parallelism: p, KeepRows: true, PackedLanes: lanes,
-				}))
-				if got != base {
-					t.Fatalf("%s: packed lanes=%d workers=%d dump differs from scalar serial run (%d vs %d bytes)",
-						name, lanes, p, len(got), len(base))
+				opt := f.opt
+				opt.Parallelism = p
+				if got := dumpDigest(c, learnWith(c, opt, lanes, nil)); got != digest {
+					t.Fatalf("%s: lanes=%d workers=%d digest %s, pinned %s",
+						f.name, lanes, p, got, digest)
 				}
 			}
 		}
 	}
+	if n == 0 {
+		t.Fatal("no fixture matched")
+	}
 }
 
-// TestPackedLearningEquivalenceAblations sweeps the option branches whose
-// simulation configurations differ (gating, equivalence partners, the
-// early-stop ablation, tie fixpoint feedback) through the packed path.
+// TestPackedLearningEquivalence is the packed learner's contract on the
+// suite circuits with rows kept.
+func TestPackedLearningEquivalence(t *testing.T) {
+	checkFixtures(t, func(name string) bool { return strings.HasSuffix(name, "/rows") })
+}
+
+// TestPackedLearningEquivalenceAblations sweeps every ablation option set
+// on s953 through the same lanes × workers grid.
 func TestPackedLearningEquivalenceAblations(t *testing.T) {
-	opts := []Options{
-		{SingleNodeOnly: true, SkipComb: true},
-		{DisableTies: true, SkipComb: true},
-		{DisableEquiv: true},
-		{DisableEarlyStop: true, SkipComb: true},
-		{TieFixpoint: true},
-	}
-	c := gen.MustBuild("s953")
-	for i, opt := range opts {
-		scalar := opt
-		scalar.Parallelism = 1
-		scalar.DisablePacked = true
-		packed := opt
-		packed.Parallelism = 4
-		if dumpResult(c, Learn(c, scalar)) != dumpResult(c, Learn(c, packed)) {
-			t.Fatalf("option set %d: packed dump differs from scalar serial run", i)
-		}
-	}
+	checkFixtures(t, func(name string) bool { return strings.Contains(name, "/ablation") })
 }
 
 // TestPackedLearningMultiClock covers the row-cache interaction: cached
 // rows bypass the packed batches entirely and must still merge into the
 // same result across class passes.
 func TestPackedLearningMultiClock(t *testing.T) {
-	c := multiClockCircuit(5)
-	base := dumpResult(c, Learn(c, Options{
-		Parallelism: 1, MaxFrames: 10, DisablePacked: true,
-	}))
-	for _, lanes := range []int{3, 64} {
-		got := dumpResult(c, Learn(c, Options{Parallelism: 2, MaxFrames: 10, PackedLanes: lanes}))
-		if got != base {
-			t.Fatalf("multi-clock packed lanes=%d dump differs from scalar serial run", lanes)
-		}
-	}
+	checkFixtures(t, func(name string) bool { return strings.HasPrefix(name, "multiclock") })
 }

@@ -9,92 +9,78 @@ import (
 	"repro/internal/sim"
 )
 
-// runParallel dispatches fn(engine, i) for i in [0, n) over the learner's
-// worker pool. Each invocation gets a worker-private engine; items are
-// handed out by an atomic counter, so the assignment of items to workers
-// is arbitrary — callers must write only to item-private shards and merge
-// them in item order afterwards. With one engine (Parallelism: 1) the
-// sweep runs inline on the caller's goroutine.
-//
-// A fired Options.Cancel stops the dispatch at the next item boundary —
-// sweeps of a canceled run end promptly with unprocessed items left
-// zero-valued, which is fine because a canceled Result is discard-only.
-func (l *learner) runParallel(n int, fn func(eng *sim.Engine, i int)) {
-	if len(l.engines) == 1 || n <= 1 {
-		for i := 0; i < n && !l.canceled(); i++ {
-			fn(l.engines[0], i)
-		}
-		return
+// enginePool is one packed scheduled simulator per worker; pool[0] doubles
+// as the serial engine. The learner and the sweep replay both shard their
+// lane batches over one.
+type enginePool []*sim.PackedEngine
+
+func newEnginePool(c *netlist.Circuit, workers int) enginePool {
+	p := make(enginePool, max(workers, 1))
+	p[0] = sim.NewPackedEngine(c)
+	for i := 1; i < len(p); i++ {
+		p[i] = p[0].Clone()
 	}
-	workers := len(l.engines)
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(eng *sim.Engine) {
-			defer wg.Done()
-			for !l.canceled() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(eng, i)
-			}
-		}(l.engines[w])
-	}
-	wg.Wait()
+	return p
 }
 
-// runPackedParallel is runParallel over the packed engine pool: it
-// dispatches fn(engine, b) for b in [0, n) with a worker-private packed
-// engine per invocation, handing batches out by an atomic counter. Like
-// runParallel, it stops dispatching at batch boundaries once the run's
-// Cancel fires.
-func (l *learner) runPackedParallel(n int, fn func(pe *sim.PackedEngine, b int)) {
-	if len(l.packed) == 1 || n <= 1 {
-		for b := 0; b < n && !l.canceled(); b++ {
-			fn(l.packed[0], b)
+// setTies installs the tie constants on every worker engine. The closure
+// under constant propagation is computed once and copied to the clones.
+func (p enginePool) setTies(ties map[netlist.NodeID]logic.V) {
+	p[0].SetTies(ties)
+	for _, e := range p[1:] {
+		e.CopyTies(p[0])
+	}
+}
+
+// run dispatches fn(engine, i) for i in [0, n) over the pool. Each
+// invocation gets a worker-private engine; items (lane batches, or targets
+// for the engine-free schedule stage) are handed out by an atomic counter,
+// so the assignment of items to workers is arbitrary — callers must write
+// only to item-private shards and merge them in item order afterwards.
+// With one engine the sweep runs inline on the caller's goroutine.
+//
+// A non-nil stop is polled at every item boundary; once it reports true
+// the dispatch ends with the remaining items unprocessed.
+func (p enginePool) run(n int, stop func() bool, fn func(pe *sim.PackedEngine, i int)) {
+	if stop == nil {
+		stop = func() bool { return false }
+	}
+	if len(p) == 1 || n <= 1 {
+		for i := 0; i < n && !stop(); i++ {
+			fn(p[0], i)
 		}
 		return
 	}
-	workers := len(l.packed)
-	if workers > n {
-		workers = n
-	}
+	workers := min(len(p), n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(pe *sim.PackedEngine) {
 			defer wg.Done()
-			for !l.canceled() {
-				b := int(next.Add(1)) - 1
-				if b >= n {
+			for !stop() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				fn(pe, b)
+				fn(pe, i)
 			}
-		}(l.packed[w])
+		}(p[w])
 	}
 	wg.Wait()
 }
 
-// setTies installs the tie constants on every worker engine, scalar and
-// packed. The closure under constant propagation is computed once per pool
-// and copied to the clones.
+// runParallel dispatches fn over the learner's pool. A fired
+// Options.Cancel stops the dispatch at the next item boundary — sweeps of a
+// canceled run end promptly with unprocessed items left zero-valued, which
+// is fine because a canceled Result is discard-only.
+func (l *learner) runParallel(n int, fn func(pe *sim.PackedEngine, i int)) {
+	l.pool.run(n, l.canceled, fn)
+}
+
+// setTies installs the tie constants on the learner's pool and remembers
+// them for the sweep recorder.
 func (l *learner) setTies(ties map[netlist.NodeID]logic.V) {
 	l.curTies = ties
-	l.engines[0].SetTies(ties)
-	for _, e := range l.engines[1:] {
-		e.CopyTies(l.engines[0])
-	}
-	if l.packed != nil {
-		l.packed[0].SetTies(ties)
-		for _, e := range l.packed[1:] {
-			e.CopyTies(l.packed[0])
-		}
-	}
+	l.pool.setTies(ties)
 }

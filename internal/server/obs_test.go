@@ -254,7 +254,7 @@ func TestHealthzRevision(t *testing.T) {
 }
 
 func TestNoInstrumentationBypass(t *testing.T) {
-	ts := httptest.NewServer(New(Config{NoInstrumentation: true}))
+	ts := httptest.NewServer(New(Config{noInstrumentation: true}))
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {

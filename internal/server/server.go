@@ -82,11 +82,11 @@ type Config struct {
 	// disables the upgrade). Requires Logger.
 	SlowRequest time.Duration
 
-	// NoInstrumentation bypasses the observability middleware entirely —
-	// no request IDs, traces, histograms or access logs. Exists so
-	// cmd/benchjson can measure the instrumentation overhead against a
-	// bare server in the same process; production daemons never set it.
-	NoInstrumentation bool
+	// noInstrumentation bypasses the observability middleware entirely —
+	// no request IDs, traces, histograms or access logs. Only package
+	// tests set it, to measure the instrumentation overhead against a bare
+	// server in the same process (TestInstrumentationOverheadSmoke).
+	noInstrumentation bool
 }
 
 func (c *Config) defaults() {
@@ -186,9 +186,9 @@ func New(cfg Config) *Server {
 }
 
 // ServeHTTP implements http.Handler: the observability middleware around
-// the mux, unless the benchmark-only NoInstrumentation bypass is set.
+// the mux, unless the test-only noInstrumentation bypass is set.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.NoInstrumentation {
+	if s.cfg.noInstrumentation {
 		s.mux.ServeHTTP(w, r)
 		return
 	}

@@ -119,10 +119,12 @@ type Result struct {
 	StoppedEarly bool
 }
 
-// Engine is a reusable scheduled simulator for one circuit. It keeps its
-// scratch arrays between runs so that learning, which performs thousands of
-// runs, does not allocate per run. An Engine is not safe for concurrent
-// use; Clone gives each concurrent worker its own engine cheaply.
+// Engine is a reusable scheduled simulator for one circuit, one run at a
+// time. It keeps its scratch arrays between runs, so replaying thousands of
+// runs does not allocate per run. It is the reference the packed scheduled
+// runner is checked against (TestRunScheduledMatchesEngine) and the
+// denominator of the packed learning speed gate. An Engine is not safe for
+// concurrent use.
 type Engine struct {
 	c *netlist.Circuit
 
@@ -180,26 +182,6 @@ func ClampWorkers(n int) int {
 		n = limit
 	}
 	return n
-}
-
-// Clone returns an independent engine for the same circuit with its own
-// scratch state. Tie constants installed via SetTies are copied, so a pool
-// of workers can be cloned from one configured engine; the clone and the
-// receiver may then run concurrently (the circuit itself is read-only).
-func (e *Engine) Clone() *Engine {
-	ne := NewEngine(e.c)
-	copy(ne.tieVal, e.tieVal)
-	return ne
-}
-
-// CopyTies copies the tie constants (with their constant-propagation
-// closure) from src, which must simulate the same circuit. It is the
-// cheap way to refresh a worker pool after SetTies on one engine.
-func (e *Engine) CopyTies(src *Engine) {
-	if src.c != e.c {
-		panic("sim: CopyTies across different circuits")
-	}
-	copy(e.tieVal, src.tieVal)
 }
 
 // SetTies installs tied-gate constants (nil clears them). The constants

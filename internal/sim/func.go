@@ -33,9 +33,9 @@ func NewFuncSim(c *netlist.Circuit) *FuncSim {
 }
 
 // Clone returns an independent functional simulator over the same circuit
-// with the current values, state and injected fault copied — the
-// counterpart of Engine.Clone for worker pools that fork mid-sequence
-// (the fault simulator's worker clones each own one).
+// with the current values, state and injected fault copied, for worker
+// pools that fork mid-sequence (the fault simulator's worker clones each
+// own one).
 func (s *FuncSim) Clone() *FuncSim {
 	n := NewFuncSim(s.c)
 	copy(n.values, s.values)

@@ -657,3 +657,59 @@ func TestEngineInjectionMonotonicity(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFuncSimClone: a clone forked mid-sequence carries the state and
+// injected fault forward exactly like the original, and the two diverge
+// independently afterwards.
+func TestFuncSimClone(t *testing.T) {
+	c := randomTestCircuit(31, 30, 6, 3)
+	f := c.Seqs[0]
+	a := NewFuncSim(c)
+	a.SetFault(f, logic.One)
+	step := func(s *FuncSim, bit logic.V) {
+		vec := make([]logic.V, len(c.PIs))
+		for i := range vec {
+			vec[i] = bit
+		}
+		s.Step(vec)
+	}
+	a.Reset(nil)
+	step(a, logic.One)
+	b := a.Clone()
+
+	// Same continuation: identical outputs.
+	step(a, logic.Zero)
+	step(b, logic.Zero)
+	for i := range c.POs {
+		if a.Output(i) != b.Output(i) {
+			t.Fatalf("PO %d: clone %v, original %v", i, b.Output(i), a.Output(i))
+		}
+	}
+	// Divergent continuation: the original's state is untouched by the
+	// clone's steps.
+	ref := append([]logic.V(nil), a.State()...)
+	step(b, logic.One)
+	step(b, logic.Zero)
+	for i, v := range a.State() {
+		if v != ref[i] {
+			t.Fatalf("state %d mutated by clone activity", i)
+		}
+	}
+}
+
+// TestEngineRunDoesNotAllocateScratch pins the engine's reuse promise:
+// steady-state runs allocate only the returned frames, not per-run maps.
+func TestEngineRunDoesNotAllocateScratch(t *testing.T) {
+	c := chain(t)
+	e := NewEngine(c)
+	inj := []Injection{{Frame: 0, Node: c.MustLookup("a"), Val: logic.One}}
+	e.Run(inj, Options{}) // warm the scratch buffers
+	allocs := testing.AllocsPerRun(200, func() {
+		e.Run(inj, Options{})
+	})
+	// 3 frames of results (one Frame slice each) plus the Frames slice
+	// header growth; anything near the old map-based count (~10+) fails.
+	if allocs > 6 {
+		t.Fatalf("Engine.Run allocates %.1f objects/run, want <= 6 (results only)", allocs)
+	}
+}

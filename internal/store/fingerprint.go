@@ -20,11 +20,10 @@ import (
 // file name all at once.
 //
 // Options that cannot change the learned relations are excluded:
-// Parallelism (sharded learning is bit-identical for every worker count),
-// DisablePacked and PackedLanes (the packed and scalar simulation routes
-// are bit-identical for every lane count — TestPackedLearningEquivalence),
-// KeepRows (affects only the Table 1 row dump), and Cancel (an execution
-// knob; canceled runs are never cached at all). Unset options are folded
+// Parallelism (sharded, packed learning is bit-identical for every worker
+// and lane count — TestPackedLearningEquivalence), KeepRows (affects only
+// the Table 1 row dump), Cancel (an execution knob; canceled runs are never
+// cached at all) and Span (observation only). Unset options are folded
 // to their effective defaults first, so an explicit
 // Options{MaxFrames: 50} and the zero value hash identically.
 func Fingerprint(c *netlist.Circuit, opt learn.Options) string {

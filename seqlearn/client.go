@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/server"
+	"repro/internal/store"
 )
 
 // Service request/response types, shared with the daemon so client and
@@ -162,18 +163,8 @@ func learnFPKey(c *Circuit, p ServiceLearnParams) fpKey {
 // the daemon answers 428 — another instance, or an evicted cache — the
 // client transparently falls back to the body upload.
 func (cl *Client) Learn(ctx context.Context, c *Circuit, p ServiceLearnParams) (*ServiceLearnResult, error) {
-	key := learnFPKey(c, p)
-	if fp, ok := cl.fps.Load(key); ok {
-		res, miss, err := postFingerprint[ServiceLearnResult](ctx, cl, "/v1/learn", p.Query(), c.Name, fp.(string))
-		if !miss {
-			return res, err
-		}
-	}
-	res, err := post[ServiceLearnResult](ctx, cl, "/v1/learn", p.Query(), c)
-	if err == nil {
-		cl.fps.Store(key, res.Fingerprint)
-	}
-	return res, err
+	return postWarm(ctx, cl, "/v1/learn", p.Query(), c, learnFPKey(c, p),
+		func(r *ServiceLearnResult) string { return r.Fingerprint })
 }
 
 // GenerateTests runs remote ATPG on c. Results are bit-identical to a
@@ -183,16 +174,10 @@ func (cl *Client) Learn(ctx context.Context, c *Circuit, p ServiceLearnParams) (
 // Like Learn, a known artifact fingerprint replaces the netlist body on
 // warm requests, with an automatic body fallback on a 428 miss.
 func (cl *Client) GenerateTests(ctx context.Context, c *Circuit, p ServiceATPGParams) (*ServiceATPGResult, error) {
-	key := learnFPKey(c, p.Learn)
-	if fp, ok := cl.fps.Load(key); ok {
-		res, miss, err := postFingerprint[ServiceATPGResult](ctx, cl, "/v1/atpg", p.Query(), c.Name, fp.(string))
-		if !miss {
-			return res, err
-		}
-	}
-	res, err := post[ServiceATPGResult](ctx, cl, "/v1/atpg", p.Query(), c)
-	if err == nil {
-		cl.fps.Store(key, res.Fingerprint)
+	res, err := postWarm(ctx, cl, "/v1/atpg", p.Query(), c, learnFPKey(c, p.Learn),
+		func(r *ServiceATPGResult) string { return r.Fingerprint })
+	if err == nil && res.ReuseFingerprint != "" && !store.ValidFingerprint(res.ReuseFingerprint) {
+		return nil, fmt.Errorf("seqlearn: client: daemon answered malformed reuse fingerprint %q", res.ReuseFingerprint)
 	}
 	return res, err
 }
@@ -205,18 +190,8 @@ func (cl *Client) GenerateTestsPartition(ctx context.Context, c *Circuit, p Serv
 	p.Partition = part.String()
 	p.Reuse = ""
 	p.IncludeTests = false
-	key := learnFPKey(c, p.Learn)
-	if fp, ok := cl.fps.Load(key); ok {
-		res, miss, err := postFingerprint[ServiceATPGPartitionResult](ctx, cl, "/v1/atpg", p.Query(), c.Name, fp.(string))
-		if !miss {
-			return res, err
-		}
-	}
-	res, err := post[ServiceATPGPartitionResult](ctx, cl, "/v1/atpg", p.Query(), c)
-	if err == nil {
-		cl.fps.Store(key, res.Fingerprint)
-	}
-	return res, err
+	return postWarm(ctx, cl, "/v1/atpg", p.Query(), c, learnFPKey(c, p.Learn),
+		func(r *ServiceATPGPartitionResult) string { return r.Fingerprint })
 }
 
 // SimulateFaults fault-simulates c's collapsed fault universe remotely
@@ -243,6 +218,31 @@ func post[T any](ctx context.Context, cl *Client, path string, q url.Values, c *
 	q.Set("name", c.Name)
 	res, _, err := request[T](ctx, cl, path, q, body.Bytes(), "")
 	return res, err
+}
+
+// postWarm is the compute request of every endpoint that resolves a
+// learning artifact: header-only when the client knows the artifact's
+// fingerprint, the body upload otherwise or after a 428 miss. The answer's
+// fingerprint is checked before it is cached — a malformed one would make
+// every later warm request send a header the daemon rejects with 400, not
+// 428, so the client would never fall back to the body.
+func postWarm[T any](ctx context.Context, cl *Client, path string, q url.Values, c *Circuit, key fpKey, fingerprint func(*T) string) (*T, error) {
+	if fp, ok := cl.fps.Load(key); ok {
+		res, miss, err := postFingerprint[T](ctx, cl, path, q, c.Name, fp.(string))
+		if !miss {
+			return res, err
+		}
+	}
+	res, err := post[T](ctx, cl, path, q, c)
+	if err != nil {
+		return nil, err
+	}
+	fp := fingerprint(res)
+	if !store.ValidFingerprint(fp) {
+		return nil, fmt.Errorf("seqlearn: client: %s answered malformed fingerprint %q", path, fp)
+	}
+	cl.fps.Store(key, fp)
+	return res, nil
 }
 
 // postFingerprint sends the body-less fast-path request: just the

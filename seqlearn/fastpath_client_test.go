@@ -149,3 +149,40 @@ func TestClientTenantHeader(t *testing.T) {
 		t.Fatalf("tenant stats = %+v", st.Tenants)
 	}
 }
+
+// TestClientRejectsMalformedFingerprint: a daemon answer with an empty
+// fingerprint is an error, and the client does not cache it — the next
+// request uploads the body again instead of sending a header the daemon
+// would reject with 400.
+func TestClientRejectsMalformedFingerprint(t *testing.T) {
+	var headers, bodies atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get(server.FingerprintHeader) != "" {
+			headers.Add(1)
+		}
+		if r.ContentLength != 0 {
+			bodies.Add(1)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"fingerprint":""}`))
+	}))
+	defer ts.Close()
+
+	ctx := context.Background()
+	cl := seqlearn.NewClient(ts.URL)
+	c := seqlearn.Figure2()
+	for i := 0; i < 2; i++ {
+		if _, err := cl.Learn(ctx, c, seqlearn.ServiceLearnParams{}); err == nil {
+			t.Fatalf("learn %d: empty fingerprint accepted", i)
+		}
+	}
+	if _, err := cl.GenerateTests(ctx, c, seqlearn.ServiceATPGParams{}); err == nil {
+		t.Fatal("atpg: empty fingerprint accepted")
+	}
+	if _, err := cl.GenerateTestsPartition(ctx, c, seqlearn.ServiceATPGParams{}, seqlearn.PartitionSpec{Index: 0, Count: 2}); err == nil {
+		t.Fatal("atpg partition: empty fingerprint accepted")
+	}
+	if h, b := headers.Load(), bodies.Load(); h != 0 || b != 4 {
+		t.Fatalf("requests with fingerprint header = %d, with body = %d; want 0 and 4 (nothing cached)", h, b)
+	}
+}
