@@ -117,9 +117,10 @@ func main() {
 		ties = append(ties, lr.SeqTies...)
 	}
 
-	var windows []int
-	for w := 1; w <= *maxWin; w *= 2 {
-		windows = append(windows, w)
+	windows, err := atpg.WindowLadder(*maxWin)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "seqatpg: %v\n", err)
+		os.Exit(1)
 	}
 	sp = root.Start("collapse")
 	faults, _ := fault.Collapse(c)

@@ -26,6 +26,8 @@
 package atpg
 
 import (
+	"fmt"
+
 	"repro/internal/fault"
 	"repro/internal/imply"
 	"repro/internal/learn"
@@ -88,9 +90,10 @@ type Options struct {
 	// Forbidden and Known modes.
 	UseCrossFrame bool
 
-	// rels is the compiled relation index. Run and RunPartition compile it
-	// once per run and share it, read-only, with every executor's arena;
-	// the public Generate compiles its own per call.
+	// rels is the compiled relation index. The pipeline (Run, and
+	// RunPartition for a shard) compiles it once per run and shares it,
+	// read-only, with every executor's arena; the public Generate compiles
+	// its own per call.
 	rels *relIndex
 }
 
@@ -101,6 +104,28 @@ func (o *Options) defaults() {
 	if len(o.Windows) == 0 {
 		o.Windows = []int{1, 2, 4, 8}
 	}
+}
+
+// maxWindowLimit caps the largest time-frame window WindowLadder accepts:
+// every PODEM executor's arena holds that many frames of the whole
+// circuit, so the cap bounds a run's memory whatever a caller asks for.
+const maxWindowLimit = 64
+
+// WindowLadder returns the doubling window schedule 1, 2, 4, … up to
+// maxWindow (0 = the default 8). A negative maxWindow or one above 64 is
+// an error.
+func WindowLadder(maxWindow int) ([]int, error) {
+	if maxWindow < 0 || maxWindow > maxWindowLimit {
+		return nil, fmt.Errorf("atpg: max window %d out of range [0,%d]", maxWindow, maxWindowLimit)
+	}
+	if maxWindow == 0 {
+		maxWindow = 8
+	}
+	var windows []int
+	for w := 1; w <= maxWindow; w *= 2 {
+		windows = append(windows, w)
+	}
+	return windows, nil
 }
 
 // Normalized returns the options with unset fields folded to their

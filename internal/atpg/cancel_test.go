@@ -49,6 +49,51 @@ func TestRunCanceledBeforeStart(t *testing.T) {
 	}
 }
 
+// TestMergePartitionsCanceledBeforeStart is the merge-side counterpart of
+// TestRunCanceledBeforeStart: a pre-closed Cancel channel stops the merge
+// at the first boundary — before the seed replay and before the canonical
+// loop — so the result is marked canceled, classifies nothing and emits no
+// test, seeded or not.
+func TestMergePartitionsCanceledBeforeStart(t *testing.T) {
+	c := gen.MustBuild("s382")
+	lr := learn.Learn(c, learn.Options{})
+	opt := runOptsFor(lr, 1)
+	opt.MaxFaults = 100
+	parts := []PartitionResult{
+		RunPartition(c, opt, Partition{Index: 0, Count: 2}),
+		RunPartition(c, opt, Partition{Index: 1, Count: 2}),
+	}
+	seeds := Run(c, opt).Tests
+	done := make(chan struct{})
+	close(done)
+	for _, workers := range []int{1, 4} {
+		for _, seeded := range []bool{false, true} {
+			mopt := runOptsFor(lr, workers)
+			mopt.MaxFaults = opt.MaxFaults
+			mopt.Cancel = done
+			if seeded {
+				mopt.SeedTests = seeds
+			}
+			res, err := MergePartitions(c, mopt, parts)
+			if err != nil {
+				t.Fatalf("workers=%d seeded=%v: %v", workers, seeded, err)
+			}
+			if !res.Canceled {
+				t.Fatalf("workers=%d seeded=%v: merge with closed cancel channel not marked canceled: %+v",
+					workers, seeded, res)
+			}
+			if res.Detected != 0 || res.Untestable != 0 || res.Aborted != 0 || len(res.Tests) != 0 {
+				t.Fatalf("workers=%d seeded=%v: canceled merge classified faults: %+v", workers, seeded, res)
+			}
+			for i, st := range res.Status {
+				if st != StatusPending {
+					t.Fatalf("workers=%d seeded=%v: fault %d status = %v, want pending", workers, seeded, i, st)
+				}
+			}
+		}
+	}
+}
+
 // TestRunNilCancelCompletes checks the default (nil channel) never trips
 // the cancellation path.
 func TestRunNilCancelCompletes(t *testing.T) {

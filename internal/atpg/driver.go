@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -8,7 +9,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // RunOptions configures a full test-generation run over a fault list.
@@ -160,18 +160,11 @@ func (r RunResult) TestCoverage() float64 {
 	return float64(r.Detected) / float64(d)
 }
 
-// Run generates tests for every fault with fault dropping: after each
-// successful generation the test sequence is fault-simulated against the
-// remaining faults and everything it detects is dropped. Every generated
-// test is independently verified by the fault simulator before being
-// counted.
-//
-// With Parallelism > 1 the run becomes a batch driver: PODEM workers pull
-// faults from a shared queue and the fault-dropping simulation shards over
-// a ParallelSim, while a canonical in-order merge keeps the outcome
-// bit-identical to the serial run (see parallel.go).
-func Run(c *netlist.Circuit, opt RunOptions) RunResult {
-	start := time.Now()
+// TargetFaults resolves a run's target list: opt.Faults, or the collapsed
+// universe of c when it is nil, truncated by opt.MaxFaults. Every driver,
+// every partition executor and the content-addressed store resolve the
+// list here, so a fault-list position means the same fault everywhere.
+func TargetFaults(c *netlist.Circuit, opt RunOptions) []fault.Fault {
 	faults := opt.Faults
 	if faults == nil {
 		faults, _ = fault.Collapse(c)
@@ -179,59 +172,45 @@ func Run(c *netlist.Circuit, opt RunOptions) RunResult {
 	if opt.MaxFaults > 0 && len(faults) > opt.MaxFaults {
 		faults = faults[:opt.MaxFaults]
 	}
-	opt.ATPG.prepare(c)
-
-	workers := sim.ClampWorkers(opt.Parallelism)
-	st := newRunState(c, opt, faults, workers)
-
-	// fault_sim and podem are aggregate spans: every detection sweep and
-	// every PODEM search adds its elapsed time, so with parallel workers
-	// their totals are compute time, not wall clock.
-	fsSpan := opt.Span.Start("fault_sim")
-	if st.psim != nil {
-		st.psim.SetSpan(fsSpan)
-	} else {
-		st.fsim.SetSpan(fsSpan)
-	}
-	st.podemSpan = opt.Span.Start("podem")
-
-	if len(opt.SeedTests) > 0 {
-		sp := opt.Span.Start("seed_replay")
-		st.replaySeeds()
-		sp.Add("seeds", int64(len(opt.SeedTests)))
-		sp.Add("kept", int64(st.res.SeedTestsKept))
-		sp.Add("detected", int64(st.res.SeedDetected))
-		sp.End()
-	} else {
-		st.replaySeeds()
-	}
-	if !st.res.Canceled {
-		if workers > 1 {
-			st.runParallel(workers)
-		} else {
-			st.runSerial()
-		}
-	}
-	st.podemSpan.Add("targets", int64(st.res.PodemTargets))
-	st.podemSpan.Add("backtracks", int64(st.res.Backtracks))
-	if opt.CompactTests && !st.res.Canceled {
-		sp := opt.Span.Start("compact")
-		st.compactTests()
-		sp.Add("removed", int64(st.res.TestsCompacted))
-		sp.End()
-	}
-	st.res.Faults = faults
-	st.res.Status = make([]FaultStatus, len(faults))
-	for i := range faults {
-		st.res.Status[i] = st.status[st.slot[i]]
-	}
-	st.res.Duration = time.Since(start)
-	return st.res
+	return faults
 }
 
-// runState is the accounting shared by the serial loop and the parallel
-// coordinator. All mutation happens in canonical fault order through
-// process(), which is what makes the two drivers bit-identical.
+// Run generates tests for every fault with fault dropping: after each
+// successful generation the test sequence is fault-simulated against the
+// remaining faults and everything it detects is dropped. Every generated
+// test is independently verified by the fault simulator before being
+// counted.
+//
+// With Parallelism > 1 PODEM workers search speculatively ahead of the
+// canonical merge and the fault-dropping simulation shards over the same
+// number of workers; the merge keeps the outcome bit-identical to the
+// serial run (see parallel.go).
+func Run(c *netlist.Circuit, opt RunOptions) RunResult {
+	start := time.Now()
+	faults := TargetFaults(c, opt)
+	opt.ATPG.prepare(c)
+	st := newRunState(c, opt, faults)
+	st.open()
+	st.podemSpan = opt.Span.Start("podem")
+	st.replaySeeds()
+	if workers := st.psim.Workers(); workers > 1 {
+		st.runParallel(workers)
+	} else {
+		a := newArena(c, &st.opt.ATPG)
+		st.merge(func(i int) (Result, bool) { return st.generate(a, i), true })
+	}
+	return st.finish(start)
+}
+
+// The ATPG pipeline. Every mode — the serial loop, the parallel driver and
+// the partition merge — is one canonical loop over runState: positions in
+// fault order, a cancellation poll at every boundary, dropped positions
+// skipped, and every other position's Result folded in through process.
+// The modes differ only in where position i's Result comes from: generated
+// inline (serial), awaited from a speculative worker (parallel.go) or read
+// from a gathered partition (partition.go). All mutation happens in
+// canonical order through process, which is what makes the three modes
+// bit-identical.
 type runState struct {
 	c      *netlist.Circuit
 	opt    RunOptions
@@ -244,8 +223,9 @@ type runState struct {
 	dropped []atomic.Bool // per slot; written only in canonical order
 	status  []FaultStatus // per slot; written only in canonical order
 
-	fsim *fault.PackedSim   // packed detection backend when serial
-	psim *fault.ParallelSim // batched detection backend when parallel
+	// psim is the detection backend, sharded over the run's workers (with
+	// one worker it is the plain packed batch loop).
+	psim *fault.ParallelSim
 
 	// scratch for the drop pass.
 	rem       []int
@@ -255,28 +235,17 @@ type runState struct {
 	// order — the coverage universe the compaction pass must preserve.
 	detected []fault.Fault
 
-	// podemSpan aggregates the time spent inside Generate (nil when
-	// unobserved); workers call generate() which adds atomically.
+	// podemSpan aggregates the time spent inside PODEM searches (nil when
+	// unobserved or when the run searches nothing itself).
 	podemSpan *obs.Span
 
 	res RunResult
 }
 
-// generate runs one PODEM search in the calling executor's arena, timing
-// it into the podem aggregate span when one is attached. Safe from parallel
-// workers, each with its own arena: AddTime is atomic.
-func (st *runState) generate(a *arena, i int) Result {
-	opt := st.genOptions(i)
-	if st.podemSpan == nil {
-		return a.generate(st.faults[i], &opt)
-	}
-	start := time.Now()
-	g := a.generate(st.faults[i], &opt)
-	st.podemSpan.AddTime(time.Since(start))
-	return g
-}
-
-func newRunState(c *netlist.Circuit, opt RunOptions, faults []fault.Fault, workers int) *runState {
+// newRunState indexes the fault list into slots and classifies the
+// pre-untestable faults — the state every mode, the partition runner
+// included, starts from.
+func newRunState(c *netlist.Circuit, opt RunOptions, faults []fault.Fault) *runState {
 	st := &runState{
 		c:      c,
 		opt:    opt,
@@ -295,11 +264,6 @@ func newRunState(c *netlist.Circuit, opt RunOptions, faults []fault.Fault, worke
 	}
 	st.dropped = make([]atomic.Bool, len(slots))
 	st.status = make([]FaultStatus, len(slots))
-	if workers > 1 {
-		st.psim = fault.NewParallelSim(c, workers)
-	} else {
-		st.fsim = fault.NewPackedSim(c)
-	}
 
 	if len(opt.PreUntestable) > 0 {
 		pre := make(map[fault.Fault]bool, len(opt.PreUntestable))
@@ -317,6 +281,80 @@ func newRunState(c *netlist.Circuit, opt RunOptions, faults []fault.Fault, worke
 	return st
 }
 
+// open attaches the detection backend Run and MergePartitions share: a
+// ParallelSim sized like the PODEM pool, timed into the fault_sim span.
+// fault_sim (like podem) is an aggregate span: every detection sweep adds
+// its elapsed time, so with parallel workers its total is compute time,
+// not wall clock.
+func (st *runState) open() {
+	st.psim = fault.NewParallelSim(st.c, st.opt.Parallelism)
+	st.psim.SetSpan(st.opt.Span.Start("fault_sim"))
+}
+
+// finish is the epilogue every mode shares: the podem totals, the
+// compaction pass, the per-fault status vector and the duration.
+func (st *runState) finish(start time.Time) RunResult {
+	st.podemSpan.Add("targets", int64(st.res.PodemTargets))
+	st.podemSpan.Add("backtracks", int64(st.res.Backtracks))
+	if st.opt.CompactTests && !st.res.Canceled {
+		sp := st.opt.Span.Start("compact")
+		st.compactTests()
+		sp.Add("removed", int64(st.res.TestsCompacted))
+		sp.End()
+	}
+	st.res.Faults = st.faults
+	st.res.Status = make([]FaultStatus, len(st.faults))
+	for i := range st.faults {
+		st.res.Status[i] = st.status[st.slot[i]]
+	}
+	st.res.Duration = time.Since(start)
+	return st.res
+}
+
+// merge is the canonical loop. next supplies position i's Result and
+// reports false when the run was cancelled while producing it.
+func (st *runState) merge(next func(i int) (Result, bool)) {
+	for i := range st.faults {
+		if st.canceled() {
+			st.res.Canceled = true
+			return
+		}
+		if st.dropped[st.slot[i]].Load() {
+			continue
+		}
+		g, ok := next(i)
+		if !ok {
+			st.res.Canceled = true
+			return
+		}
+		st.process(i, g)
+	}
+}
+
+// generate runs one PODEM search in the calling executor's arena, timing
+// it into the podem aggregate span when one is attached. The fill seed is
+// a pure function of the fault's list position (positionOptions), so any
+// executor reproduces exactly the test the serial loop would emit. Safe
+// from parallel workers, each with its own arena: AddTime is atomic.
+func (st *runState) generate(a *arena, i int) Result {
+	opt := positionOptions(st.opt.ATPG, i)
+	if st.podemSpan == nil {
+		return a.generate(st.faults[i], &opt)
+	}
+	start := time.Now()
+	g := a.generate(st.faults[i], &opt)
+	st.podemSpan.AddTime(time.Since(start))
+	return g
+}
+
+// positionOptions derives the generation options of fault-list position i.
+func positionOptions(gopt Options, i int) Options {
+	if gopt.FillSeed != 0 {
+		gopt.FillSeed = gopt.FillSeed*31 + uint64(i) + 1
+	}
+	return gopt
+}
+
 // canceled polls the cooperative abort channel (never fires when nil).
 func (st *runState) canceled() bool {
 	select {
@@ -327,87 +365,84 @@ func (st *runState) canceled() bool {
 	}
 }
 
+// remaining collects the undropped positions and their faults into the
+// drop-pass scratch.
+func (st *runState) remaining() {
+	st.rem = st.rem[:0]
+	st.remFaults = st.remFaults[:0]
+	for p := range st.faults {
+		if !st.dropped[st.slot[p]].Load() {
+			st.rem = append(st.rem, p)
+			st.remFaults = append(st.remFaults, st.faults[p])
+		}
+	}
+}
+
+// detect fault-simulates the test against the given faults. Detection of
+// one fault is independent of every other, so the result is the same for
+// any worker count and batch order.
+func (st *runState) detect(test [][]logic.V, faults []fault.Fault) []fault.Detection {
+	st.psim.LoadSequence(test, nil)
+	return st.psim.Detect(faults)
+}
+
+// drop marks every remaining position the detections cover as detected;
+// duplicate positions sharing a slot are counted once. It reports whether
+// anything new was dropped.
+func (st *runState) drop(dets []fault.Detection) bool {
+	hit := false
+	for k, p := range st.rem {
+		if !dets[k].Detected || st.dropped[st.slot[p]].Load() {
+			continue
+		}
+		hit = true
+		st.dropped[st.slot[p]].Store(true)
+		st.status[st.slot[p]] = StatusDetected
+		st.res.Detected++
+		st.detected = append(st.detected, st.faults[p])
+	}
+	return hit
+}
+
 // replaySeeds fault-simulates the seed test set against the remaining
-// faults before any search: each sequence that detects something new is
-// kept as an emitted test (its target recorded as the first fault it
-// detects) and everything it detects is dropped, so PODEM targets only the
-// residue. Runs serially before the driver, preserving parallel/serial
-// bit-identity.
+// faults before any search, inside a seed_replay span: each sequence that
+// detects something new is kept as an emitted test (its target recorded
+// as the first fault it detects) and everything it detects is dropped, so
+// PODEM targets only the residue. Runs before the canonical loop,
+// preserving bit-identity across modes.
 func (st *runState) replaySeeds() {
+	if len(st.opt.SeedTests) == 0 {
+		return
+	}
+	sp := st.opt.Span.Start("seed_replay")
+	defer func() {
+		sp.Add("seeds", int64(len(st.opt.SeedTests)))
+		sp.Add("kept", int64(st.res.SeedTestsKept))
+		sp.Add("detected", int64(st.res.SeedDetected))
+		sp.End()
+	}()
 	for _, test := range st.opt.SeedTests {
 		if st.canceled() {
 			st.res.Canceled = true
 			return
 		}
-		st.rem = st.rem[:0]
-		st.remFaults = st.remFaults[:0]
-		for p := range st.faults {
-			if !st.dropped[st.slot[p]].Load() {
-				st.rem = append(st.rem, p)
-				st.remFaults = append(st.remFaults, st.faults[p])
-			}
-		}
+		st.remaining()
 		if len(st.rem) == 0 {
 			return
 		}
-		dets := st.detect(test, st.remFaults)
-		kept := false
-		for k, p := range st.rem {
-			if !dets[k].Detected || st.dropped[st.slot[p]].Load() {
-				continue
-			}
-			if !kept {
-				kept = true
-				st.res.Tests = append(st.res.Tests, test)
-				st.res.TestTargets = append(st.res.TestTargets, st.faults[p])
-				st.res.SeedTestsKept++
-			}
-			st.dropped[st.slot[p]].Store(true)
-			st.status[st.slot[p]] = StatusDetected
-			st.res.Detected++
-			st.res.SeedDetected++
-			st.detected = append(st.detected, st.faults[p])
+		first := len(st.detected)
+		if st.drop(st.detect(test, st.remFaults)) {
+			st.res.Tests = append(st.res.Tests, test)
+			st.res.TestTargets = append(st.res.TestTargets, st.detected[first])
+			st.res.SeedTestsKept++
+			st.res.SeedDetected += len(st.detected) - first
 		}
 	}
 }
 
-// genOptions derives the per-fault generation options; the fill seed is a
-// pure function of the fault's list position, so workers reproduce exactly
-// the tests the serial loop would emit.
-func (st *runState) genOptions(i int) Options {
-	return positionOptions(st.opt.ATPG, i)
-}
-
-// positionOptions is the single source of the per-position option
-// derivation, shared by the in-process drivers and the cross-instance
-// partition runner: any executor holding the same RunOptions and the same
-// canonical fault-list position produces the same Generate call.
-func positionOptions(gopt Options, i int) Options {
-	if gopt.FillSeed != 0 {
-		gopt.FillSeed = gopt.FillSeed*31 + uint64(i) + 1
-	}
-	return gopt
-}
-
-// detect fault-simulates the test against the given faults using whichever
-// backend the run owns: the packed simulator serially, worker-sharded
-// batches in parallel. The serial path walks the batches in reverse fault
-// order — the classic fault-dropping schedule that simulates the
-// not-yet-targeted tail of the list first. Detection of one fault is
-// independent of every other, so every backend and order returns an
-// identical slice.
-func (st *runState) detect(test [][]logic.V, faults []fault.Fault) []fault.Detection {
-	if st.psim != nil {
-		st.psim.LoadSequence(test, nil)
-		return st.psim.Detect(faults)
-	}
-	st.fsim.LoadSequence(test, nil)
-	return st.fsim.DetectAllReverse(faults)
-}
-
-// process folds the Generate result for fault-list position i into the
-// run. It must be called in increasing position order with i undropped —
-// the single accounting path for both drivers.
+// process folds the Result for fault-list position i into the run. It must
+// be called in increasing position order with i undropped — the single
+// accounting path of every mode.
 func (st *runState) process(i int, g Result) {
 	st.res.PodemTargets++
 	st.res.Backtracks += g.Backtracks
@@ -421,24 +456,11 @@ func (st *runState) process(i int, g Result) {
 		st.dropped[st.slot[i]].Store(true) // do not retarget
 		st.status[st.slot[i]] = StatusAborted
 	case Detected:
-		// Collect the remaining (undropped) positions; i is among them.
-		st.rem = st.rem[:0]
-		st.remFaults = st.remFaults[:0]
-		self := -1
-		for p := range st.faults {
-			if st.dropped[st.slot[p]].Load() {
-				continue
-			}
-			if p == i {
-				self = len(st.rem)
-			}
-			st.rem = append(st.rem, p)
-			st.remFaults = append(st.remFaults, st.faults[p])
-		}
+		st.remaining() // i is among the remaining positions
 		dets := st.detect(g.Test, st.remFaults)
 		// Independent verification of the generated test against its own
 		// target fault.
-		if !dets[self].Detected {
+		if self, _ := slices.BinarySearch(st.rem, i); !dets[self].Detected {
 			st.res.VerifyFailures++
 			st.res.Aborted++
 			st.dropped[st.slot[i]].Store(true)
@@ -447,17 +469,7 @@ func (st *runState) process(i int, g Result) {
 		}
 		st.res.Tests = append(st.res.Tests, g.Test)
 		st.res.TestTargets = append(st.res.TestTargets, st.faults[i])
-		// Drop everything this sequence detects; duplicate positions
-		// sharing a slot are counted once.
-		for k, p := range st.rem {
-			if !dets[k].Detected || st.dropped[st.slot[p]].Load() {
-				continue
-			}
-			st.dropped[st.slot[p]].Store(true)
-			st.status[st.slot[p]] = StatusDetected
-			st.res.Detected++
-			st.detected = append(st.detected, st.faults[p])
-		}
+		st.drop(dets)
 	}
 }
 
@@ -498,21 +510,4 @@ func (st *runState) compactTests() {
 	}
 	st.res.Tests = tests
 	st.res.TestTargets = targets
-}
-
-// runSerial is the classic driver loop: one PODEM search at a time, in
-// fault order, in one arena, with a cancellation check at every fault
-// boundary.
-func (st *runState) runSerial() {
-	a := newArena(st.c, &st.opt.ATPG)
-	for i := range st.faults {
-		if st.canceled() {
-			st.res.Canceled = true
-			return
-		}
-		if st.dropped[st.slot[i]].Load() {
-			continue
-		}
-		st.process(i, st.generate(a, i))
-	}
 }

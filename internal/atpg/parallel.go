@@ -5,34 +5,35 @@ import (
 	"sync/atomic"
 )
 
-// The parallel batch driver. N PODEM workers pull fault-list positions
-// from a shared queue and search speculatively; every worker reads the
-// same frozen imply.Snapshot through the prebuilt relation index, so no
-// learned data is copied or locked. A coordinator consumes the results in
-// canonical fault order and performs all accounting and fault dropping
-// through runState.process — the same code path the serial loop uses.
+// The parallel driver. N PODEM workers pull fault-list positions from a
+// shared queue and search speculatively; every worker reads the same
+// frozen imply.Snapshot through the prebuilt relation index, so no learned
+// data is copied or locked. The canonical loop (runState.merge) consumes
+// their results in fault order and performs all accounting and fault
+// dropping through runState.process — the same path the serial loop and
+// the partition merge use.
 //
 // Serial equivalence holds because
 //
 //   - Generate is a pure function of (circuit, fault, options), and the
 //     per-fault options derive only from the fault's list position;
-//   - drop flags are written only by the coordinator, which replays the
+//   - drop flags are written only by the canonical loop, which replays the
 //     serial order exactly, so a worker observing a dropped slot proves
 //     the serial run would have skipped that fault too (flags are
-//     monotonic and the coordinator is always behind);
+//     monotonic and the loop is always behind);
 //   - a fault claimed by worker A but detected by an earlier-ordered test
-//     processed by the coordinator is reconciled by simply discarding A's
-//     speculative result at merge time.
+//     is reconciled by never asking for A's speculative result: the loop
+//     skips the dropped position.
 //
 // Speculation is bounded: workers stay at most speculationWindow positions
-// ahead of the coordinator, so the wasted search effort on faults that an
-// earlier test is about to drop stays proportional to the worker count,
-// not to the fault-list length.
+// ahead of the loop, so the wasted search effort on faults that an earlier
+// test is about to drop stays proportional to the worker count, not to the
+// fault-list length.
 //
-// The coordinator's fault-dropping passes (a ParallelSim sized like the
-// PODEM pool) time-share the CPU with in-flight speculative searches
-// rather than preempting them: which side dominates varies by circuit, and
-// the speculation window already caps how much search can contend with the
+// The loop's fault-dropping passes (a ParallelSim sized like the PODEM
+// pool) time-share the CPU with in-flight speculative searches rather than
+// preempting them: which side dominates varies by circuit, and the
+// speculation window already caps how much search can contend with the
 // merge path.
 
 // workerState values for the per-position result cells.
@@ -52,14 +53,14 @@ func speculationWindow(workers int) int {
 	return w
 }
 
-// runParallel executes the batch driver with the given worker count.
-// Cancellation (RunOptions.Cancel) is observed at fault boundaries: a
-// watcher flips the stopped flag, workers refuse new claims and the
-// coordinator abandons the merge; at most one in-flight Generate per
-// worker completes after the flag is set.
+// runParallel runs the canonical loop over results produced by the given
+// number of speculative workers. Cancellation (RunOptions.Cancel) is
+// observed at fault boundaries: a watcher flips the stopped flag, workers
+// refuse new claims and the loop abandons the merge; at most one in-flight
+// Generate per worker completes after the flag is set.
 func (st *runState) runParallel(workers int) {
 	n := len(st.faults)
-	if n == 0 {
+	if n == 0 || st.res.Canceled { // nothing to search, or the seed replay was cancelled
 		return
 	}
 
@@ -67,7 +68,7 @@ func (st *runState) runParallel(workers int) {
 	results := make([]Result, n)
 	var mu sync.Mutex
 	cond := sync.NewCond(&mu)
-	frontier := 0 // guarded by mu: lowest position the coordinator has not finished
+	frontier := 0 // guarded by mu: lowest position the loop has not finished
 	window := speculationWindow(workers)
 
 	var stopped atomic.Bool
@@ -110,8 +111,7 @@ func (st *runState) runParallel(workers int) {
 					continue
 				}
 				// Bound speculation; re-check the drop flag afterwards —
-				// the coordinator may have dropped the slot while we
-				// waited.
+				// the loop may have dropped the slot while we waited.
 				mu.Lock()
 				for i >= frontier+window && !stopped.Load() {
 					cond.Wait()
@@ -137,45 +137,30 @@ func (st *runState) runParallel(workers int) {
 		}()
 	}
 
-	for i := 0; i < n; i++ {
-		// Poll the channel itself, not the watcher's flag: a channel closed
-		// before the run starts must stop the merge at position 0 even if
-		// the watcher goroutine has not been scheduled yet.
-		if st.canceled() {
-			st.res.Canceled = true
-			break
-		}
-		if !st.dropped[st.slot[i]].Load() {
-			mu.Lock()
-			for state[i] == genPending && !stopped.Load() {
-				cond.Wait()
-			}
-			if state[i] == genPending {
-				// Cancelled while waiting for this position's result.
-				mu.Unlock()
-				st.res.Canceled = true
-				break
-			}
-			s, g := state[i], results[i]
-			results[i] = Result{} // read exactly once: release the test early
-			mu.Unlock()
-			if s == genSkipped {
-				// A worker skipped the position because the slot was
-				// dropped at claim time, yet it is undropped now. Flags
-				// are monotonic and only the coordinator writes them, so
-				// this cannot happen; regenerate inline so the merge stays
-				// provably serial-equivalent even if it ever did.
-				g = st.generate(newArena(st.c, &st.opt.ATPG), i)
-			}
-			st.process(i, g)
-		}
+	st.merge(func(i int) (Result, bool) {
 		mu.Lock()
-		frontier = i + 1
+		frontier = i // every earlier position is finished
 		cond.Broadcast()
+		for state[i] == genPending && !stopped.Load() {
+			cond.Wait()
+		}
+		s, g := state[i], results[i]
+		results[i] = Result{} // read exactly once: release the test early
 		mu.Unlock()
-	}
-	// Release every worker still waiting on the speculation window (normal
-	// completion leaves frontier == n already; the cancelled path does not).
+		switch s {
+		case genPending:
+			return Result{}, false // cancelled while waiting
+		case genSkipped:
+			// A worker skipped the position because the slot was dropped
+			// at claim time, yet it is undropped now. Flags are monotonic
+			// and only the loop writes them, so this cannot happen;
+			// regenerate inline so the merge stays provably
+			// serial-equivalent even if it ever did.
+			return st.generate(newArena(st.c, &st.opt.ATPG), i), true
+		}
+		return g, true
+	})
+	// Release every worker still waiting on the speculation window.
 	mu.Lock()
 	frontier = n
 	cond.Broadcast()

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/learn"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 )
 
 // partitionedRun scatters the fault list over n partitions, runs each
@@ -259,5 +261,40 @@ func TestRunPartitionCancel(t *testing.T) {
 	}
 	if bad := RunPartition(c, RunOptions{}, Partition{Index: 2, Count: 2}); !bad.Canceled {
 		t.Fatal("invalid partition not rejected")
+	}
+}
+
+// TestRunPartitionPodemSpan checks the partition runner's podem span is an
+// aggregate of its searches only, as Run's is: with one worker the summed
+// search time cannot exceed the wall time of the call. A span that is both
+// accumulated and ended would report search time plus wall time.
+func TestRunPartitionPodemSpan(t *testing.T) {
+	c := gen.MustBuild("s953")
+	lr := learn.Learn(c, learn.Options{})
+	opt := runOptsFor(lr, 1)
+	opt.MaxFaults = 60
+	tr := obs.NewTrace("partition", "atpg")
+	opt.Span = tr.Root()
+	start := time.Now()
+	res := RunPartition(c, opt, Partition{Index: 0, Count: 1})
+	wall := time.Since(start)
+	if res.Canceled || res.Generated == 0 {
+		t.Fatalf("partition searched nothing: %+v", res)
+	}
+	var podem *obs.SpanTree
+	for _, sp := range tr.JSON().Root.Children {
+		if sp.Name == "podem" {
+			podem = sp
+		}
+	}
+	if podem == nil {
+		t.Fatal("no podem span")
+	}
+	if got := podem.Attrs["targets"]; got != int64(res.Generated) {
+		t.Fatalf("podem targets = %d, want %d", got, res.Generated)
+	}
+	if wallMS := float64(wall) / float64(time.Millisecond); podem.DurationMS > wallMS {
+		t.Fatalf("podem span %.3fms exceeds the %.3fms wall time of a one-worker partition run",
+			podem.DurationMS, wallMS)
 	}
 }

@@ -2,11 +2,9 @@ package fault
 
 import (
 	"math/bits"
-	"time"
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -45,10 +43,6 @@ type PackedSim struct {
 	// batch is the lane-group size, logic.W except in tests that exercise
 	// partial-batch handling at every split.
 	batch int
-
-	// span, when non-nil, aggregates sweep timings (span.go). Never
-	// inherited by clones.
-	span *obs.Span
 }
 
 // NewPackedSim returns a packed fault simulator for c.
@@ -92,7 +86,6 @@ func (p *PackedSim) adoptSequence(src *PackedSim) {
 // broadcast — and caches the PI planes and good primary-output planes every
 // batch reuses.
 func (p *PackedSim) LoadSequence(vectors [][]logic.V, init []logic.V) {
-	defer record(p.span, time.Now(), 0, len(vectors))
 	e := p.eng
 	e.ClearForces()
 	e.ResetBroadcast(init)
@@ -183,37 +176,10 @@ func (p *PackedSim) batchBounds(k, n int) (int, int) {
 // per word, and returns the per-fault outcomes in input order —
 // bit-identical to Sim.DetectAll.
 func (p *PackedSim) DetectAll(faults []Fault) []Detection {
-	defer record(p.span, time.Now(), len(faults), 0)
 	out := make([]Detection, len(faults))
 	for k := 0; k < p.numBatches(len(faults)); k++ {
 		lo, hi := p.batchBounds(k, len(faults))
 		p.detectBatch(out, faults, lo, hi)
 	}
 	return out
-}
-
-// DetectAllReverse is DetectAll with the batches processed last-to-first:
-// the reverse-order fault-dropping schedule the ATPG driver uses, where the
-// not-yet-targeted tail of the fault list — the faults a fresh test is most
-// likely to drop — is simulated first. Detection of one fault never depends
-// on another, so the outcome is identical to DetectAll for any order.
-func (p *PackedSim) DetectAllReverse(faults []Fault) []Detection {
-	defer record(p.span, time.Now(), len(faults), 0)
-	out := make([]Detection, len(faults))
-	for k := p.numBatches(len(faults)) - 1; k >= 0; k-- {
-		lo, hi := p.batchBounds(k, len(faults))
-		p.detectBatch(out, faults, lo, hi)
-	}
-	return out
-}
-
-// RunAll simulates every fault and returns the detected ones in input order.
-func (p *PackedSim) RunAll(faults []Fault) []Fault {
-	var detected []Fault
-	for i, d := range p.DetectAll(faults) {
-		if d.Detected {
-			detected = append(detected, faults[i])
-		}
-	}
-	return detected
 }

@@ -6,17 +6,13 @@ import (
 	"repro/internal/obs"
 )
 
-// Span attachment: the ATPG driver (or the fault-sim endpoint) hands the
-// simulators an aggregate obs span; every good-machine load and every
+// Span attachment: the ATPG driver (or the fault-sim endpoint) hands a
+// ParallelSim an aggregate obs span; every good-machine load and every
 // detection sweep adds its elapsed time and batch/fault counts to it. The
-// span is recorded at sweep granularity — one timing call per DetectAll,
+// span is recorded at sweep granularity — one timing call per Detect,
 // never per frame or per batch — so the packed hot loops stay untouched,
-// and a nil span costs one branch. Clones never inherit the span: inside
-// ParallelSim the workers run unobserved and the coordinator records the
-// whole sweep once.
-
-// SetSpan attaches sp (may be nil to detach) to p's subsequent sweeps.
-func (p *PackedSim) SetSpan(sp *obs.Span) { p.span = sp }
+// and a nil span costs one branch. The worker PackedSims run unobserved:
+// the coordinator records the whole sweep once.
 
 // SetSpan attaches sp (may be nil to detach) to p's subsequent sweeps.
 // Only the coordinator records; the worker clones stay unobserved.

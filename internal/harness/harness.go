@@ -232,10 +232,7 @@ func Table5(w io.Writer, opt Table5Options) ([]Table5Cell, error) {
 		combTies := append([]learn.Tie{}, lr.CombTies...)
 		allTies := append(append([]learn.Tie{}, lr.CombTies...), lr.SeqTies...)
 		tieUntestable := fires.TieUntestable(c, lr).Untestable
-		faults, _ := fault.Collapse(c)
-		if opt.MaxFaults > 0 && len(faults) > opt.MaxFaults {
-			faults = faults[:opt.MaxFaults]
-		}
+		faults := atpg.TargetFaults(c, atpg.RunOptions{MaxFaults: opt.MaxFaults})
 		for _, limit := range opt.Limits {
 			var rowCells []any
 			rowCells = append(rowCells, name, len(faults), limit)

@@ -18,8 +18,6 @@
 package imply
 
 import (
-	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/logic"
@@ -91,7 +89,7 @@ func litKey(l Lit) int {
 	return k
 }
 
-// relLess is the canonical relation order used by Relations and Snapshot.
+// relLess is the canonical relation order of a Snapshot.
 func relLess(a, b Relation) bool {
 	if a.Dt != b.Dt {
 		return a.Dt < b.Dt
@@ -103,9 +101,10 @@ func relLess(a, b Relation) bool {
 }
 
 // DB is a deduplicating store of learned relations for one circuit: the
-// mutable *builder* half of the implication database. Learning writes here;
-// concurrent readers (ATPG, FIRES, the harness) consume the frozen,
-// immutable Snapshot produced by Freeze. Every relation carries a flag
+// mutable, write-only *builder* half of the implication database. Learning
+// (Add) and snapshot loading (Deserialize) write here; every reader —
+// ATPG, FIRES, the harness, the tests — consumes the frozen, immutable
+// Snapshot produced by Freeze. Every relation carries a flag
 // recording whether it is derivable in the combinational logic alone
 // (frame 0, no crossing of sequential elements); the paper's Table 3
 // reports only the relations that are *not* (what only sequential learning
@@ -123,9 +122,6 @@ func NewDB(c *netlist.Circuit) *DB {
 		set: make(map[Relation]relMeta),
 	}
 }
-
-// Circuit returns the owning circuit.
-func (db *DB) Circuit() *netlist.Circuit { return db.c }
 
 // relMeta carries per-relation bookkeeping: whether the relation is
 // derivable in the combinational frame, and the history depth needed for it
@@ -167,147 +163,12 @@ func (db *DB) Add(a, b Lit, dt int, comb bool, depth int) bool {
 	return true
 }
 
-// IsCombinational reports whether the stored relation is derivable in the
-// combinational frame.
-func (db *DB) IsCombinational(a, b Lit, dt int) bool {
-	r := Relation{A: a, B: b, Dt: int16(dt)}.canonical()
-	return db.set[r].comb
-}
-
-// DepthOf returns the history depth of the stored relation (0 if absent).
-func (db *DB) DepthOf(a, b Lit, dt int) int {
-	r := Relation{A: a, B: b, Dt: int16(dt)}.canonical()
-	return int(db.set[r].depth)
-}
-
-// Has reports whether the relation (in either form) is present.
-func (db *DB) Has(a, b Lit, dt int) bool {
-	r := Relation{A: a, B: b, Dt: int16(dt)}.canonical()
-	_, ok := db.set[r]
-	return ok
-}
-
-// Len returns the number of stored (canonical) relations.
-func (db *DB) Len() int { return len(db.set) }
-
-// KindOf classifies a relation's endpoints.
-func (db *DB) KindOf(r Relation) Kind { return kindOf(db.c, r) }
-
-func kindOf(c *netlist.Circuit, r Relation) Kind {
-	sa := c.IsSeq(r.A.Node)
-	sb := c.IsSeq(r.B.Node)
-	switch {
-	case sa && sb:
-		return FFFF
-	case sa || sb:
-		return GateFF
-	default:
-		return GateGate
-	}
-}
-
-// Counts tallies same-frame relations by kind. When seqOnly is set, only
-// relations that combinational learning cannot derive are counted — the
-// quantities reported in the paper's Table 3 ("FF-FF" and "Gate-FF"
-// columns: "the relations which can be learned in the combinational logic
-// are excluded").
-func (db *DB) Counts(seqOnly bool) (ffff, gateFF, gateGate int) {
-	for r, m := range db.set {
-		if r.Dt != 0 || (seqOnly && m.comb) {
-			continue
-		}
-		switch db.KindOf(r) {
-		case FFFF:
-			ffff++
-		case GateFF:
-			gateFF++
-		default:
-			gateGate++
-		}
-	}
-	return
-}
-
-// CrossFrame returns the number of stored relations with dt != 0.
-func (db *DB) CrossFrame() int {
-	n := 0
-	for r := range db.set {
-		if r.Dt != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// Relations returns all stored relations sorted deterministically.
-func (db *DB) Relations() []Relation {
+// relations returns all stored relations in canonical order.
+func (db *DB) relations() []Relation {
 	out := make([]Relation, 0, len(db.set))
 	for r := range db.set {
 		out = append(out, r)
 	}
 	sort.Slice(out, func(i, j int) bool { return relLess(out[i], out[j]) })
-	return out
-}
-
-// formatLit and formatRelation are the one rendering implementation shared
-// by the builder and the snapshot.
-func formatLit(c *netlist.Circuit, l Lit) string {
-	return fmt.Sprintf("%s=%s", c.NameOf(l.Node), l.Val)
-}
-
-func formatRelation(c *netlist.Circuit, r Relation) string {
-	s := formatLit(c, r.A) + " -> " + formatLit(c, r.B)
-	if r.Dt != 0 {
-		s += fmt.Sprintf(" @%+d", r.Dt)
-	}
-	return s
-}
-
-// FormatLit renders a literal like "F6=1".
-func (db *DB) FormatLit(l Lit) string { return formatLit(db.c, l) }
-
-// FormatRelation renders a relation like "F6=1 -> F4=0" or, for cross-frame
-// relations, "F6=1 -> F4=0 @+2".
-func (db *DB) FormatRelation(r Relation) string { return formatRelation(db.c, r) }
-
-// WriteText dumps all relations, one per line, sorted.
-func (db *DB) WriteText(w io.Writer) error {
-	for _, r := range db.Relations() {
-		if _, err := fmt.Fprintln(w, db.FormatRelation(r)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// HasNamed is a test convenience: it parses "A=1 -> B=0" style strings
-// against node names.
-func (db *DB) HasNamed(aName string, aVal logic.V, bName string, bVal logic.V, dt int) bool {
-	an, ok1 := db.c.Lookup(aName)
-	bn, ok2 := db.c.Lookup(bName)
-	if !ok1 || !ok2 {
-		return false
-	}
-	return db.Has(Lit{an, aVal}, Lit{bn, bVal}, dt)
-}
-
-// InvalidStatePattern is a compact invalid-state description: the
-// simultaneous assignment Lits is unreachable.
-type InvalidStatePattern struct {
-	Lits []Lit
-}
-
-// InvalidStates derives one invalid-state pattern from every same-frame
-// FF-FF relation: A ⟹ B means the pattern {A, ¬B} is invalid (paper
-// Section 3.1: "F6=1 → F4=0 represents the set of invalid states
-// (F4,F6)=(1,1)").
-func (db *DB) InvalidStates() []InvalidStatePattern {
-	var out []InvalidStatePattern
-	for _, r := range db.Relations() {
-		if r.Dt != 0 || db.KindOf(r) != FFFF {
-			continue
-		}
-		out = append(out, InvalidStatePattern{Lits: []Lit{r.A, r.B.Not()}})
-	}
 	return out
 }

@@ -41,10 +41,11 @@ func TestAddAndContrapositiveDedup(t *testing.T) {
 	if db.Add(b.Not(), a.Not(), 0, false, 0) {
 		t.Fatal("contrapositive Add must be a duplicate")
 	}
-	if db.Len() != 1 {
-		t.Fatalf("Len = %d", db.Len())
+	s := db.Freeze()
+	if s.Len() != 1 {
+		t.Fatalf("Len = %d", s.Len())
 	}
-	if !db.Has(a, b, 0) || !db.Has(b.Not(), a.Not(), 0) {
+	if !s.Has(a, b, 0) || !s.Has(b.Not(), a.Not(), 0) {
 		t.Fatal("Has must see both forms")
 	}
 }
@@ -61,13 +62,14 @@ func TestCrossFrameCanonicalization(t *testing.T) {
 	if db.Add(b.Not(), a.Not(), -1, false, 0) {
 		t.Fatal("contrapositive with negative dt must dedup")
 	}
-	if !db.Has(a, b, 1) || !db.Has(b.Not(), a.Not(), -1) {
+	s := db.Freeze()
+	if !s.Has(a, b, 1) || !s.Has(b.Not(), a.Not(), -1) {
 		t.Fatal("Has broken for cross-frame")
 	}
-	if db.CrossFrame() != 1 {
-		t.Fatalf("CrossFrame = %d", db.CrossFrame())
+	if s.CrossFrame() != 1 {
+		t.Fatalf("CrossFrame = %d", s.CrossFrame())
 	}
-	rels := db.Relations()
+	rels := s.Relations()
 	if len(rels) != 1 || rels[0].Dt != 1 {
 		t.Fatalf("canonical dt must be positive, got %+v", rels)
 	}
@@ -131,7 +133,7 @@ func TestCountsAndKinds(t *testing.T) {
 	db.Add(lit(c, "f1", logic.Zero), lit(c, "g2", logic.One), 0, false, 0) // Gate-FF
 	db.Add(lit(c, "g1", logic.One), lit(c, "g2", logic.Zero), 0, false, 0) // Gate-Gate
 	db.Add(lit(c, "f1", logic.One), lit(c, "f2", logic.One), 2, false, 0)  // cross-frame: uncounted
-	ffff, gateFF, gateGate := db.Counts(false)
+	ffff, gateFF, gateGate := db.Freeze().Counts(false)
 	if ffff != 1 || gateFF != 2 || gateGate != 1 {
 		t.Fatalf("Counts = %d,%d,%d", ffff, gateFF, gateGate)
 	}
@@ -142,7 +144,7 @@ func TestInvalidStates(t *testing.T) {
 	db := NewDB(c)
 	db.Add(lit(c, "f1", logic.One), lit(c, "f2", logic.Zero), 0, false, 0)
 	db.Add(lit(c, "g1", logic.One), lit(c, "f2", logic.Zero), 0, false, 0) // not FF-FF
-	inv := db.InvalidStates()
+	inv := db.Freeze().InvalidStates()
 	if len(inv) != 1 {
 		t.Fatalf("InvalidStates = %v", inv)
 	}
@@ -165,7 +167,7 @@ func TestFormatAndWrite(t *testing.T) {
 	db.Add(lit(c, "f1", logic.One), lit(c, "f2", logic.Zero), 0, false, 0)
 	db.Add(lit(c, "g1", logic.One), lit(c, "f1", logic.One), 1, false, 0)
 	var sb strings.Builder
-	if err := db.WriteText(&sb); err != nil {
+	if err := db.Freeze().WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -181,13 +183,14 @@ func TestHasNamed(t *testing.T) {
 	c := testCircuit(t)
 	db := NewDB(c)
 	db.Add(lit(c, "f1", logic.One), lit(c, "f2", logic.Zero), 0, false, 0)
-	if !db.HasNamed("f1", logic.One, "f2", logic.Zero, 0) {
+	s := db.Freeze()
+	if !s.HasNamed("f1", logic.One, "f2", logic.Zero, 0) {
 		t.Error("HasNamed direct form")
 	}
-	if !db.HasNamed("f2", logic.One, "f1", logic.Zero, 0) {
+	if !s.HasNamed("f2", logic.One, "f1", logic.Zero, 0) {
 		t.Error("HasNamed contrapositive form")
 	}
-	if db.HasNamed("nope", logic.One, "f1", logic.Zero, 0) {
+	if s.HasNamed("nope", logic.One, "f1", logic.Zero, 0) {
 		t.Error("HasNamed with unknown name must be false")
 	}
 }
@@ -222,7 +225,7 @@ func TestAddIdempotentUnderContrapositive(t *testing.T) {
 		db := NewDB(c)
 		db.Add(a, b, int(dt), false, 0)
 		db.Add(b.Not(), a.Not(), -int(dt), false, 0)
-		return db.Len() == 1
+		return db.Freeze().Len() == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -237,10 +240,11 @@ func TestCombinationalFlag(t *testing.T) {
 	g := lit(c, "g1", logic.One)
 	db.Add(a, b, 0, false, 0) // sequential-only FF-FF
 	db.Add(a, g, 0, true, 0)  // combinationally derivable Gate-FF
-	if db.IsCombinational(a, b, 0) {
+	s := db.Freeze()
+	if s.IsCombinational(a, b, 0) {
 		t.Error("a->b must not be combinational")
 	}
-	if !db.IsCombinational(a, g, 0) {
+	if !s.IsCombinational(a, g, 0) {
 		t.Error("a->g must be combinational")
 	}
 	// Upgrading: re-adding a->b with comb=true flips the flag, also via
@@ -248,17 +252,21 @@ func TestCombinationalFlag(t *testing.T) {
 	if db.Add(b.Not(), a.Not(), 0, true, 0) {
 		t.Error("re-add must not report new")
 	}
-	if !db.IsCombinational(a, b, 0) {
+	if !db.Freeze().IsCombinational(a, b, 0) {
 		t.Error("flag not upgraded")
+	}
+	if s.IsCombinational(a, b, 0) {
+		t.Error("upgrade leaked into an earlier snapshot")
 	}
 	db2 := NewDB(c)
 	db2.Add(a, b, 0, false, 0)
 	db2.Add(a, g, 0, true, 0)
-	ffff, gateFF, _ := db2.Counts(true)
+	s2 := db2.Freeze()
+	ffff, gateFF, _ := s2.Counts(true)
 	if ffff != 1 || gateFF != 0 {
 		t.Errorf("seq-only Counts = %d,%d", ffff, gateFF)
 	}
-	ffff, gateFF, _ = db2.Counts(false)
+	ffff, gateFF, _ = s2.Counts(false)
 	if ffff != 1 || gateFF != 1 {
 		t.Errorf("all Counts = %d,%d", ffff, gateFF)
 	}
@@ -270,27 +278,29 @@ func TestSerializeRoundTrip(t *testing.T) {
 	db.Add(lit(c, "f1", logic.One), lit(c, "f2", logic.Zero), 0, false, 2)
 	db.Add(lit(c, "g1", logic.One), lit(c, "f1", logic.One), 1, false, 1)
 	db.Add(lit(c, "g2", logic.Zero), lit(c, "f2", logic.One), 0, true, 0)
+	s := db.Freeze()
 
 	var sb strings.Builder
-	if err := db.Serialize(&sb); err != nil {
+	if err := s.Serialize(&sb); err != nil {
 		t.Fatal(err)
 	}
 	db2 := NewDB(c)
 	if err := db2.Deserialize(strings.NewReader(sb.String())); err != nil {
 		t.Fatal(err)
 	}
-	if db2.Len() != db.Len() {
-		t.Fatalf("Len %d != %d", db2.Len(), db.Len())
+	s2 := db2.Freeze()
+	if s2.Len() != s.Len() {
+		t.Fatalf("Len %d != %d", s2.Len(), s.Len())
 	}
-	for _, r := range db.Relations() {
-		if !db2.Has(r.A, r.B, int(r.Dt)) {
-			t.Errorf("lost relation %v", db.FormatRelation(r))
+	for _, r := range s.Relations() {
+		if !s2.Has(r.A, r.B, int(r.Dt)) {
+			t.Errorf("lost relation %v", s.FormatRelation(r))
 		}
-		if db.IsCombinational(r.A, r.B, int(r.Dt)) != db2.IsCombinational(r.A, r.B, int(r.Dt)) {
-			t.Errorf("comb flag changed for %v", db.FormatRelation(r))
+		if s.IsCombinational(r.A, r.B, int(r.Dt)) != s2.IsCombinational(r.A, r.B, int(r.Dt)) {
+			t.Errorf("comb flag changed for %v", s.FormatRelation(r))
 		}
-		if db.DepthOf(r.A, r.B, int(r.Dt)) != db2.DepthOf(r.A, r.B, int(r.Dt)) {
-			t.Errorf("depth changed for %v", db.FormatRelation(r))
+		if s.DepthOf(r.A, r.B, int(r.Dt)) != s2.DepthOf(r.A, r.B, int(r.Dt)) {
+			t.Errorf("depth changed for %v", s.FormatRelation(r))
 		}
 	}
 }

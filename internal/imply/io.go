@@ -10,36 +10,8 @@ import (
 	"repro/internal/netlist"
 )
 
-// Serialize writes the database in a line-oriented format that Deserialize
-// reads back: one relation per line,
-//
-//	<nameA> <valA> <nameB> <valB> <dt> <comb> <depth>
-//
-// Node names come from the owning circuit, so a serialized database can be
-// reloaded against any circuit with the same node names (e.g. after a
-// process restart, to reuse learning results across ATPG runs).
-func (db *DB) Serialize(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, r := range db.Relations() {
-		if err := writeRelLine(bw, db.c, r, db.set[r]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// writeRelLine is the one implementation of the serialization line format,
-// shared by DB.Serialize and Snapshot.Serialize.
-func writeRelLine(w io.Writer, c *netlist.Circuit, r Relation, m relMeta) error {
-	_, err := fmt.Fprintf(w, "%s %s %s %s %d %t %d\n",
-		c.NameOf(r.A.Node), r.A.Val,
-		c.NameOf(r.B.Node), r.B.Val,
-		r.Dt, m.comb, m.depth)
-	return err
-}
-
-// Deserialize reads relations written by Serialize into db, resolving
-// names against db's circuit. Unknown node names are an error.
+// Deserialize reads relations written by Snapshot.Serialize into db,
+// resolving names against db's circuit. Unknown node names are an error.
 func (db *DB) Deserialize(r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -70,11 +42,11 @@ func (db *DB) Deserialize(r io.Reader) error {
 	return sc.Err()
 }
 
-// LoadSnapshot reads relations written by DB.Serialize or
-// Snapshot.Serialize and returns them as a frozen snapshot for c in one
-// call — the cross-process consumer path: a daemon (or a later run)
-// rebuilds the immutable read view of a learned database from its
-// serialized form without exposing the mutable builder. Node names are
+// LoadSnapshot reads relations written by Snapshot.Serialize and returns
+// them as a frozen snapshot for c in one call — the cross-process consumer
+// path: a daemon (or a later run) rebuilds the immutable read view of a
+// learned database from its serialized form without exposing the mutable
+// builder. Node names are
 // resolved against c, so any circuit with the same node names works.
 func LoadSnapshot(c *netlist.Circuit, r io.Reader) (*Snapshot, error) {
 	db := NewDB(c)

@@ -30,7 +30,7 @@ type Snapshot struct {
 // contents. The builder remains usable; later Adds do not affect the
 // returned snapshot.
 func (db *DB) Freeze() *Snapshot {
-	s := &Snapshot{c: db.c, rels: db.Relations()}
+	s := &Snapshot{c: db.c, rels: db.relations()}
 	s.meta = make([]relMeta, len(s.rels))
 	for i, r := range s.rels {
 		s.meta[i] = db.set[r]
@@ -117,9 +117,24 @@ func (s *Snapshot) SameFrameImplied(l Lit) []Lit {
 }
 
 // KindOf classifies a relation's endpoints.
-func (s *Snapshot) KindOf(r Relation) Kind { return kindOf(s.c, r) }
+func (s *Snapshot) KindOf(r Relation) Kind {
+	sa := s.c.IsSeq(r.A.Node)
+	sb := s.c.IsSeq(r.B.Node)
+	switch {
+	case sa && sb:
+		return FFFF
+	case sa || sb:
+		return GateFF
+	default:
+		return GateGate
+	}
+}
 
-// Counts tallies same-frame relations by kind, mirroring DB.Counts.
+// Counts tallies same-frame relations by kind. When seqOnly is set, only
+// relations that combinational learning cannot derive are counted — the
+// quantities reported in the paper's Table 3 ("FF-FF" and "Gate-FF"
+// columns: "the relations which can be learned in the combinational logic
+// are excluded").
 func (s *Snapshot) Counts(seqOnly bool) (ffff, gateFF, gateGate int) {
 	for i, r := range s.rels {
 		if r.Dt != 0 || (seqOnly && s.meta[i].comb) {
@@ -149,11 +164,19 @@ func (s *Snapshot) CrossFrame() int {
 }
 
 // FormatLit renders a literal like "F6=1".
-func (s *Snapshot) FormatLit(l Lit) string { return formatLit(s.c, l) }
+func (s *Snapshot) FormatLit(l Lit) string {
+	return fmt.Sprintf("%s=%s", s.c.NameOf(l.Node), l.Val)
+}
 
 // FormatRelation renders a relation like "F6=1 -> F4=0" or, for
 // cross-frame relations, "F6=1 -> F4=0 @+2".
-func (s *Snapshot) FormatRelation(r Relation) string { return formatRelation(s.c, r) }
+func (s *Snapshot) FormatRelation(r Relation) string {
+	out := s.FormatLit(r.A) + " -> " + s.FormatLit(r.B)
+	if r.Dt != 0 {
+		out += fmt.Sprintf(" @%+d", r.Dt)
+	}
+	return out
+}
 
 // WriteText dumps all relations, one per line, sorted.
 func (s *Snapshot) WriteText(w io.Writer) error {
@@ -165,13 +188,23 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 	return nil
 }
 
-// Serialize writes the snapshot in the same line format as DB.Serialize;
-// DB.Deserialize reads it back. Because the relations are canonical and
-// sorted, equal snapshots serialize to byte-identical output.
+// Serialize writes the snapshot in a line-oriented format that
+// DB.Deserialize (and LoadSnapshot) reads back: one relation per line,
+//
+//	<nameA> <valA> <nameB> <valB> <dt> <comb> <depth>
+//
+// Node names come from the owning circuit, so a serialized snapshot can be
+// reloaded against any circuit with the same node names (e.g. after a
+// process restart, to reuse learning results across ATPG runs). Because
+// the relations are canonical and sorted, equal snapshots serialize to
+// byte-identical output.
 func (s *Snapshot) Serialize(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for i, r := range s.rels {
-		if err := writeRelLine(bw, s.c, r, s.meta[i]); err != nil {
+		if _, err := fmt.Fprintf(bw, "%s %s %s %s %d %t %d\n",
+			s.c.NameOf(r.A.Node), r.A.Val,
+			s.c.NameOf(r.B.Node), r.B.Val,
+			r.Dt, s.meta[i].comb, s.meta[i].depth); err != nil {
 			return err
 		}
 	}
@@ -189,8 +222,16 @@ func (s *Snapshot) HasNamed(aName string, aVal logic.V, bName string, bVal logic
 	return s.Has(Lit{an, aVal}, Lit{bn, bVal}, dt)
 }
 
+// InvalidStatePattern is a compact invalid-state description: the
+// simultaneous assignment Lits is unreachable.
+type InvalidStatePattern struct {
+	Lits []Lit
+}
+
 // InvalidStates derives one invalid-state pattern from every same-frame
-// FF-FF relation, mirroring DB.InvalidStates.
+// FF-FF relation: A ⟹ B means the pattern {A, ¬B} is invalid (paper
+// Section 3.1: "F6=1 → F4=0 represents the set of invalid states
+// (F4,F6)=(1,1)").
 func (s *Snapshot) InvalidStates() []InvalidStatePattern {
 	var out []InvalidStatePattern
 	for _, r := range s.rels {

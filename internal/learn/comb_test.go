@@ -37,7 +37,7 @@ func TestCombinationalParallelDeterminism(t *testing.T) {
 	c := combCircuit(t)
 	dump := func(db *imply.DB, ties []Tie) string {
 		var sb strings.Builder
-		if err := db.Serialize(&sb); err != nil {
+		if err := db.Freeze().Serialize(&sb); err != nil {
 			t.Fatal(err)
 		}
 		for _, tie := range ties {
@@ -66,18 +66,19 @@ func TestCombBackwardNand(t *testing.T) {
 	c := combCircuit(t)
 	db := imply.NewDB(c)
 	Combinational(c, db, nil)
+	s := db.Freeze()
 	// nand=0 ⟹ both inputs 1.
-	if !db.HasNamed("nand", logic.Zero, "q1", logic.One, 0) ||
-		!db.HasNamed("nand", logic.Zero, "q2", logic.One, 0) {
+	if !s.HasNamed("nand", logic.Zero, "q1", logic.One, 0) ||
+		!s.HasNamed("nand", logic.Zero, "q2", logic.One, 0) {
 		t.Error("NAND=0 backward implication missing")
 	}
 	// inv=1 ⟹ nand=0 ⟹ q1=1 (chained through the inverter).
-	if !db.HasNamed("inv", logic.One, "q1", logic.One, 0) {
+	if !s.HasNamed("inv", logic.One, "q1", logic.One, 0) {
 		t.Error("chained NOT backward implication missing")
 	}
 	// nor=1 ⟹ both inputs 0.
-	if !db.HasNamed("nor", logic.One, "q1", logic.Zero, 0) ||
-		!db.HasNamed("nor", logic.One, "q3", logic.Zero, 0) {
+	if !s.HasNamed("nor", logic.One, "q1", logic.Zero, 0) ||
+		!s.HasNamed("nor", logic.One, "q3", logic.Zero, 0) {
 		t.Error("NOR=1 backward implication missing")
 	}
 }
@@ -92,14 +93,15 @@ func TestCombXorCompletion(t *testing.T) {
 	c := combCircuit(t)
 	db := imply.NewDB(c)
 	Combinational(c, db, nil)
+	s := db.Freeze()
 	// Injecting q1=1 forces nor=0 (forward).
-	if !db.HasNamed("q1", logic.One, "nor", logic.Zero, 0) {
+	if !s.HasNamed("q1", logic.One, "nor", logic.Zero, 0) {
 		t.Error("forward q1=1 -> nor=0 missing")
 	}
 	// Every stored relation must be flagged combinational.
-	for _, r := range db.Relations() {
-		if !db.IsCombinational(r.A, r.B, int(r.Dt)) {
-			t.Fatalf("non-combinational relation from comb learner: %v", db.FormatRelation(r))
+	for _, r := range s.Relations() {
+		if !s.IsCombinational(r.A, r.B, int(r.Dt)) {
+			t.Fatalf("non-combinational relation from comb learner: %v", s.FormatRelation(r))
 		}
 	}
 }

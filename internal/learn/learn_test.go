@@ -239,16 +239,17 @@ func TestCombinationalLearner(t *testing.T) {
 	c := b.MustBuild()
 	db := imply.NewDB(c)
 	ties := Combinational(c, db, nil)
+	s := db.Freeze()
 	// g=1 implies (backward) q1=1 and q2=1: gate-FF relations.
-	if !db.HasNamed("g", logic.One, "q1", logic.One, 0) {
+	if !s.HasNamed("g", logic.One, "q1", logic.One, 0) {
 		t.Error("missing backward implication g=1 -> q1=1")
 	}
-	if !db.HasNamed("g", logic.One, "q2", logic.One, 0) {
+	if !s.HasNamed("g", logic.One, "q2", logic.One, 0) {
 		t.Error("missing backward implication g=1 -> q2=1")
 	}
 	g1 := imply.Lit{Node: c.MustLookup("g"), Val: logic.One}
 	q1 := imply.Lit{Node: c.MustLookup("q1"), Val: logic.One}
-	if !db.IsCombinational(g1, q1, 0) {
+	if !s.IsCombinational(g1, q1, 0) {
 		t.Error("comb learner output must be flagged combinational")
 	}
 	// t0 = AND(x, ¬x) conflicts for injection 1: combinational tie to 0.

@@ -46,6 +46,14 @@ type LearnParams struct {
 	Trace bool
 }
 
+// Size caps of the query decoders (max_window's cap lives with
+// atpg.WindowLadder): each bounds what one request may allocate and how
+// long one learning injection may run.
+const (
+	maxLearnFrames    = 1000 // max_frames on /v1/learn and /v1/atpg
+	maxFaultSimFrames = 4096 // frames on /v1/faultsim
+)
+
 // Options maps the request to learn.Options.
 func (p LearnParams) Options() learn.Options {
 	return learn.Options{
@@ -88,7 +96,7 @@ func learnParamsFromQuery(q url.Values) (LearnParams, error) {
 func decodeLearnParams(q url.Values) (LearnParams, error) {
 	var p LearnParams
 	var err error
-	if p.MaxFrames, err = getInt(q, "max_frames"); err != nil {
+	if p.MaxFrames, err = getSize(q, "max_frames", maxLearnFrames); err != nil {
 		return p, err
 	}
 	if p.SingleOnly, err = getBool(q, "single_only"); err != nil {
@@ -168,13 +176,9 @@ func (p ATPGParams) RunOptions(art *store.Artifact) (atpg.RunOptions, error) {
 	if err != nil {
 		return atpg.RunOptions{}, err
 	}
-	maxWin := p.MaxWindow
-	if maxWin <= 0 {
-		maxWin = 8
-	}
-	var windows []int
-	for w := 1; w <= maxWin; w *= 2 {
-		windows = append(windows, w)
+	windows, err := atpg.WindowLadder(p.MaxWindow)
+	if err != nil {
+		return atpg.RunOptions{}, err
 	}
 	ties := art.Ties()
 	if mode == atpg.ModeNoLearning {
@@ -252,6 +256,9 @@ func atpgParamsFromQuery(q url.Values) (ATPGParams, error) {
 	if p.MaxWindow, err = getInt(q, "max_window"); err != nil {
 		return p, err
 	}
+	if _, err = atpg.WindowLadder(p.MaxWindow); err != nil {
+		return p, err
+	}
 	if p.Workers, err = getInt(q, "atpg_workers"); err != nil {
 		return p, err
 	}
@@ -318,7 +325,7 @@ func faultSimParamsFromQuery(q url.Values) (FaultSimParams, error) {
 	if err = checkKnown(q, faultSimQueryKeys); err != nil {
 		return p, err
 	}
-	if p.Frames, err = getInt(q, "frames"); err != nil {
+	if p.Frames, err = getSize(q, "frames", maxFaultSimFrames); err != nil {
 		return p, err
 	}
 	if p.Seed, err = getUint(q, "seed"); err != nil {
@@ -606,6 +613,17 @@ func getInt(q url.Values, key string) (int, error) {
 		return 0, fmt.Errorf("bad %s %q", key, s)
 	}
 	return v, nil
+}
+
+// getSize reads a size parameter, rejecting negative values and values
+// above limit: a size sizes allocations and loops inside a pool slot, so an
+// unbounded one would let a single request pin the daemon.
+func getSize(q url.Values, key string, limit int) (int, error) {
+	v, err := getInt(q, key)
+	if err == nil && (v < 0 || v > limit) {
+		err = fmt.Errorf("bad %s %d: want 0..%d", key, v, limit)
+	}
+	return v, err
 }
 
 func getUint(q url.Values, key string) (uint64, error) {

@@ -252,6 +252,8 @@ func TestBadRequests(t *testing.T) {
 		{"bad mode", "POST", "/v1/atpg?mode=psychic", body, http.StatusBadRequest},
 		{"bad int", "POST", "/v1/learn?max_frames=many", body, http.StatusBadRequest},
 		{"bad bool", "POST", "/v1/atpg?compact=maybe", body, http.StatusBadRequest},
+		{"max_window over cap", "POST", "/v1/atpg?max_window=65", body, http.StatusBadRequest},
+		{"negative frames", "POST", "/v1/faultsim?frames=-1", body, http.StatusBadRequest},
 		// Misspelled or unsupported parameters are rejected, not silently
 		// ignored: a remote ablation run that dropped no_early_stop would
 		// report the wrong experiment.
@@ -273,6 +275,43 @@ func TestBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != tc.wantCode {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.wantCode)
+		}
+	}
+}
+
+// TestSizeParamsBounded checks the query decoders reject negative and
+// over-cap size parameters before any handler sizes an allocation or a
+// loop from them. Unbounded, max_window=2^63-1 makes the window doubling
+// wrap around and append forever while holding a pool slot.
+func TestSizeParamsBounded(t *testing.T) {
+	decoders := map[string]func(url.Values) error{
+		"learn":    func(q url.Values) error { _, err := learnParamsFromQuery(q); return err },
+		"atpg":     func(q url.Values) error { _, err := atpgParamsFromQuery(q); return err },
+		"faultsim": func(q url.Values) error { _, err := faultSimParamsFromQuery(q); return err },
+	}
+	for _, tc := range []struct {
+		endpoint, query string
+		ok              bool
+	}{
+		{"atpg", "max_window=9223372036854775807", false},
+		{"atpg", "max_window=65", false},
+		{"atpg", "max_window=-1", false},
+		{"atpg", "max_window=64", true},
+		{"atpg", "max_window=8", true},
+		{"atpg", "max_frames=1001", false},
+		{"learn", "max_frames=9223372036854775807", false},
+		{"learn", "max_frames=-1", false},
+		{"learn", "max_frames=1000", true},
+		{"faultsim", "frames=9223372036854775807", false},
+		{"faultsim", "frames=-1", false},
+		{"faultsim", "frames=4096", true},
+	} {
+		q, err := url.ParseQuery(tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := decoders[tc.endpoint](q); (err == nil) != tc.ok {
+			t.Errorf("%s?%s: err = %v, want ok = %v", tc.endpoint, tc.query, err, tc.ok)
 		}
 	}
 }

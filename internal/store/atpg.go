@@ -148,13 +148,8 @@ func ValidFingerprint(s string) bool {
 // when a run executed with seeding.
 func (s *Store) ATPG(req ATPGRequest) (*ATPGArtifact, Source, *ATPGReuse, error) {
 	c := req.Artifact.Circuit
-	faults := req.Faults
-	if faults == nil {
-		faults, _ = fault.Collapse(c)
-	}
-	if req.Options.MaxFaults > 0 && len(faults) > req.Options.MaxFaults {
-		faults = faults[:req.Options.MaxFaults]
-	}
+	req.Options.Faults = req.Faults
+	faults := atpg.TargetFaults(c, req.Options)
 	req.Options.Faults = faults
 	req.Options.MaxFaults = 0
 	fp := ATPGFingerprint(req.Artifact.Fingerprint, c, faults, req.Options)
