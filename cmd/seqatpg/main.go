@@ -10,7 +10,6 @@
 //	seqatpg -circuit s1423 -compact     # reverse-order fault-sim test compaction
 //	seqatpg -circuit s1423 -trace       # also print the run's span tree
 //	seqatpg -circuit s1423 -remote http://127.0.0.1:8344   # via a seqlearnd daemon
-//	seqatpg -circuit s5378 -remote http://a:8344,http://b:8344   # scatter/gather across a fleet
 package main
 
 import (
@@ -19,7 +18,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"repro/internal/atpg"
@@ -43,7 +41,7 @@ func main() {
 		maxWin    = flag.Int("max-window", 8, "largest time-frame window")
 		workers   = flag.Int("workers", 0, "parallel workers for learning, fault simulation and the PODEM driver (0 = one per core, 1 = serial; results identical)")
 		compact   = flag.Bool("compact", false, "drop redundant tests by reverse-order fault simulation after generation")
-		remote    = flag.String("remote", "", "run against seqlearnd at this base URL instead of in-process; a comma-separated list scatters one shard per daemon and merges bit-identically")
+		remote    = flag.String("remote", "", "run against seqlearnd at this base URL instead of in-process")
 		reuse     = flag.String("reuse", "", "with -remote: seed from a cached test set (\"auto\" or a tests fingerprint) and run PODEM only on the residue")
 		trace     = flag.Bool("trace", false, "print the run's span tree (parse, learn, collapse, atpg with its podem and fault_sim aggregates) after the results")
 		version   = flag.Bool("version", false, "print build identity and exit")
@@ -76,14 +74,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *remote != "" {
-		bases := strings.Split(*remote, ",")
-		var err error
-		if len(bases) > 1 {
-			err = runFleet(bases, c, *mode, *reuse, *limit, *maxFaults, *maxWin, *workers, *compact)
-		} else {
-			err = runRemote(*remote, c, *mode, *reuse, *limit, *maxFaults, *maxWin, *workers, *compact)
-		}
-		if err != nil {
+		if err := runRemote(*remote, c, *mode, *reuse, *limit, *maxFaults, *maxWin, *workers, *compact); err != nil {
 			fmt.Fprintln(os.Stderr, "seqatpg:", err)
 			os.Exit(1)
 		}
@@ -196,43 +187,6 @@ func runRemote(base string, c *netlist.Circuit, mode, reuse string, limit, maxFa
 			fmt.Printf("diff vs seed circuit: %s\n", res.ReuseDiff)
 		}
 	}
-	if compact {
-		fmt.Printf("compaction dropped %d redundant tests\n", res.TestsCompacted)
-	}
-	if res.VerifyFailures > 0 {
-		return fmt.Errorf("%d tests failed independent verification", res.VerifyFailures)
-	}
-	return nil
-}
-
-// runFleet scatters shard i/n of the fault list to daemon i and merges
-// the shards locally: counts, tests and backtracks are bit-identical to
-// a single daemon (or in-process run) with the same options. Daemons
-// sharing a -cache-dir pay for one learning run fleet-wide.
-func runFleet(bases []string, c *netlist.Circuit, mode, reuse string, limit, maxFaults, maxWin, workers int, compact bool) error {
-	if reuse != "" {
-		return fmt.Errorf("-reuse needs a single -remote daemon (shards cannot seed from a cached test set)")
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	fleet := seqlearn.NewFleet(bases...)
-	res, err := fleet.GenerateTests(ctx, c, seqlearn.ServiceATPGParams{
-		Learn:      seqlearn.ServiceLearnParams{Workers: workers},
-		Mode:       mode,
-		Backtracks: limit,
-		MaxFaults:  maxFaults,
-		MaxWindow:  maxWin,
-		Workers:    workers,
-		Compact:    compact,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s via %d daemons: mode=%s backtrack-limit=%d\n", c.Name, len(bases), mode, limit)
-	fmt.Printf("faults=%d detected=%d untestable=%d aborted=%d\n",
-		res.Total, res.Detected, res.Untestable, res.Aborted)
-	fmt.Printf("coverage=%.2f%% test-coverage=%.2f%% tests=%d backtracks=%d\n",
-		100*res.Coverage(), 100*res.TestCoverage(), len(res.Tests), res.Backtracks)
 	if compact {
 		fmt.Printf("compaction dropped %d redundant tests\n", res.TestsCompacted)
 	}

@@ -13,34 +13,41 @@
 //	seqlearnd -debug-addr 127.0.0.1:8345       # pprof + /metrics on a side listener
 //	seqlearnd -dump-circuit figure2            # print a built-in netlist and exit
 //
-// Endpoints (see internal/server; every compute endpoint also takes
-// timeout= for a per-request deadline, capped by -request-timeout):
+// Endpoints (see internal/server and README "Running the service"). The
+// compute endpoints take the circuit as the POST body and every option as
+// a query parameter; an unknown parameter answers 400.
 //
-//	POST /v1/learn?[max_frames=|single_only=1|skip_comb=1|workers=|timeout=]
-//	POST /v1/atpg?[mode=|backtracks=|max_faults=|max_window=|atpg_workers=|compact=1|include_tests=1|reuse=|partition=i/n]
-//	POST /v1/faultsim?[frames=|seed=|workers=]
+//	POST /v1/learn?[name=|max_frames=|single_only=1|skip_comb=1|no_early_stop=1|workers=|timeout=|debug=trace]
+//	POST /v1/atpg?[every /v1/learn key|mode=|backtracks=|max_faults=|max_window=|atpg_workers=|compact=1|fill_seed=|include_tests=1|reuse=]
+//	POST /v1/faultsim?[name=|frames=|seed=|workers=|timeout=|debug=trace]
 //	GET  /healthz
 //	GET  /v1/stats
 //	GET  /metrics
 //
-// Compute endpoints also take debug=trace to echo the request's span tree
-// in the response; every response carries an X-Request-Id (generated, or
-// propagated from the request). Requests slower than -slow-request log at
-// WARN with the span breakdown attached.
+// name= labels the posted circuit. timeout= sets a per-request deadline,
+// capped by -request-timeout. debug=trace echoes the request's span tree
+// in the response. On /v1/atpg, mode= is nolearn, forbidden (default) or
+// known, fill_seed= seeds the random fill of unassigned PI values
+// (default 0x7e57), and reuse= is "auto" or a tests_fingerprint to seed
+// from. On /v1/faultsim, seed= picks the deterministic random PI
+// sequence. Size parameters are bounded when the query is decoded, and an
+// out-of-range value answers 400: max_window 0..64 (0 = 8), max_frames
+// 0..1000 (0 = the learner's default) and frames 0..4096 (0 = 24).
+//
+// Every response carries an X-Request-Id (generated, or propagated from
+// the request). Requests slower than -slow-request log at WARN with the
+// span breakdown attached.
 //
 // Fleet operation (see README "Scaling out seqlearnd"): instances sharing
-// one -cache-dir resolve each other's learned snapshots from disk, so a
-// fleet pays for one learning run per circuit. Clients that already know a
-// circuit's fingerprint may send the X-Circuit-Fingerprint header with an
-// empty body to skip the netlist upload; a daemon that doesn't hold the
-// artifact answers 428 and the client re-sends the body (seqlearn.Client
-// does this transparently). The X-Tenant header keys fair scheduling:
-// tenants waiting for pool slots are granted round-robin, so one noisy
-// tenant queues behind itself, not in front of everyone, and /v1/stats
-// reports per-tenant request/shed/queue-depth counts. partition=i/n runs
-// PODEM only on fault positions p with p%n == i; seqlearn.Fleet scatters
-// the n shards across daemons and merges them bit-identically to a
-// single-instance run.
+// one -cache-dir resolve each other's learned snapshots and test sets from
+// disk, so a fleet pays for one learning run per circuit. Clients that
+// already know a circuit's fingerprint may send the X-Circuit-Fingerprint
+// header with an empty body to skip the netlist upload; a daemon that
+// doesn't hold the artifact answers 428 and the client re-sends the body
+// (seqlearn.Client does this transparently). The X-Tenant header keys fair
+// scheduling: tenants waiting for pool slots are granted round-robin, so
+// one noisy tenant queues behind itself, not in front of everyone, and
+// /v1/stats reports per-tenant request/shed/queue-depth counts.
 //
 // Overload sheds with 429 + Retry-After once the pool and queue are full;
 // expired deadlines answer 504 and never cache; SIGINT/SIGTERM flips

@@ -1,16 +1,17 @@
-// Fleet walk-through: three seqlearnd instances over one shared cache
-// directory, driven through seqlearn.Fleet. The first request pays for
-// the only learning run the whole fleet ever executes — the other
-// instances load the artifact from the shared disk — and a partitioned
-// ATPG scatter/gather merges bit-identically to the single-instance run.
-// Production runs one `seqlearnd -cache-dir /shared/dir` per machine; the
-// in-process harness here is the same code path minus the network.
+// Fleet walk-through: two seqlearnd instances over one shared cache
+// directory. Daemon 0 generates tests and pays for the only learning run;
+// daemon 1 answers the same request from the artifacts daemon 0 wrote to
+// the shared disk, without learning, and returns identical counts and test
+// vectors. Production runs one `seqlearnd -cache-dir /shared/dir` per
+// machine; the in-process harness here is the same code path minus the
+// network. Exits 1 if the second answer differs or needed a learning run.
 package main
 
 import (
 	"context"
 	"fmt"
 	"os"
+	"reflect"
 
 	"repro/internal/fleet"
 	"repro/internal/server"
@@ -19,60 +20,48 @@ import (
 
 func main() {
 	ctx := context.Background()
-	cluster, err := fleet.Start(3, server.Config{})
+	cluster, err := fleet.Start(2, server.Config{})
 	if err != nil {
 		fail(err)
 	}
 	defer cluster.Close()
 	urls := cluster.URLs()
-	fmt.Printf("3 daemons over shared cache dir %s\n\n", cluster.Dir)
+	fmt.Printf("2 daemons over shared cache dir %s\n\n", cluster.Dir)
 
 	c := seqlearn.Benchmark("s953")
 	params := seqlearn.ServiceATPGParams{
 		Mode: "forbidden", Backtracks: 30, MaxFaults: 300, Compact: true, IncludeTests: true,
 	}
 
-	// One daemon serves the whole run: this is the answer the scatter must
-	// reproduce, and the learning run every other instance will reuse.
-	single := seqlearn.NewClient(urls[0])
-	single.SetTenant("walkthrough")
-	want, err := single.GenerateTests(ctx, c, params)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("single daemon: faults=%d detected=%d tests=%d backtracks=%d in %.1fms\n",
-		want.Total, want.Detected, want.Tests, want.Backtracks, want.ElapsedMS)
-
-	// Scatter shard i/3 to daemon i and merge locally. The shards resolve
-	// the learned snapshot through the shared directory — no new learning —
-	// and the merge replays fault dropping in canonical order, so every
-	// count and every test vector matches the single-daemon run exactly.
-	fl := seqlearn.NewFleet(urls...)
-	merged, err := fl.GenerateTests(ctx, c, params)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("3-way scatter: faults=%d detected=%d tests=%d backtracks=%d\n",
-		merged.Total, merged.Detected, len(merged.Tests), merged.Backtracks)
-	identical := merged.Detected == want.Detected && len(merged.Tests) == want.Tests &&
-		merged.Backtracks == want.Backtracks
-	for i, test := range merged.Tests {
-		vec := seqlearn.FormatServiceTest(test)
-		for j, frame := range vec {
-			if frame != want.TestVectors[i][j] {
-				identical = false
-			}
+	answers := make([]*seqlearn.ServiceATPGResult, len(urls))
+	for i, u := range urls {
+		cl := seqlearn.NewClient(u)
+		cl.SetTenant("walkthrough")
+		if answers[i], err = cl.GenerateTests(ctx, c, params); err != nil {
+			fail(err)
 		}
+		r := answers[i]
+		st := cluster.Servers()[i].Store().Stats()
+		fmt.Printf("daemon %d: cache=%s tests-cache=%s faults=%d detected=%d untestable=%d aborted=%d tests=%d backtracks=%d\n",
+			i, r.Cache, r.TestsCache, r.Total, r.Detected, r.Untestable, r.Aborted, r.Tests, r.Backtracks)
+		fmt.Printf("          learns=%d disk-hits=%d peer-disk-hits=%d in %.1fms\n",
+			st.Learns, st.DiskHits, st.PeerDiskHits, r.ElapsedMS)
 	}
-	fmt.Printf("bit-identical to single daemon: %v\n", identical)
-	fmt.Printf("learning runs fleet-wide: %d (shared dir holds the one artifact)\n\n",
-		cluster.TotalLearns())
 
-	// The second daemon never learned anything: its store pulled the
-	// artifact a peer wrote.
+	want, got := answers[0], answers[1]
+	identical := got.Fingerprint == want.Fingerprint && got.TestsFingerprint == want.TestsFingerprint &&
+		got.Total == want.Total && got.Detected == want.Detected &&
+		got.Untestable == want.Untestable && got.Aborted == want.Aborted &&
+		got.Tests == want.Tests && got.Backtracks == want.Backtracks &&
+		reflect.DeepEqual(got.TestVectors, want.TestVectors)
+	fmt.Printf("\nidentical answers: %v\n", identical)
+	fmt.Printf("learning runs fleet-wide: %d (shared dir holds the one artifact)\n", cluster.TotalLearns())
+
 	st := cluster.Servers()[1].Store().Stats()
-	fmt.Printf("daemon 1: learns=%d disk-hits=%d peer-disk-hits=%d\n",
-		st.Learns, st.DiskHits, st.PeerDiskHits)
+	if !identical || st.Learns != 0 || st.PeerDiskHits == 0 {
+		fail(fmt.Errorf("daemon 1 did not reuse daemon 0's artifact: identical=%v learns=%d peer-disk-hits=%d",
+			identical, st.Learns, st.PeerDiskHits))
+	}
 }
 
 func fail(err error) {

@@ -90,10 +90,9 @@ type Options struct {
 	// Forbidden and Known modes.
 	UseCrossFrame bool
 
-	// rels is the compiled relation index. The pipeline (Run, and
-	// RunPartition for a shard) compiles it once per run and shares it,
-	// read-only, with every executor's arena; the public Generate compiles
-	// its own per call.
+	// rels is the compiled relation index. Run compiles it once per run
+	// and shares it, read-only, with every executor's arena; the public
+	// Generate compiles its own per call.
 	rels *relIndex
 }
 

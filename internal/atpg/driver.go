@@ -161,9 +161,9 @@ func (r RunResult) TestCoverage() float64 {
 }
 
 // TargetFaults resolves a run's target list: opt.Faults, or the collapsed
-// universe of c when it is nil, truncated by opt.MaxFaults. Every driver,
-// every partition executor and the content-addressed store resolve the
-// list here, so a fault-list position means the same fault everywhere.
+// universe of c when it is nil, truncated by opt.MaxFaults. Run, the
+// content-addressed store and the Table 5 harness resolve the list here,
+// so a fault-list position means the same fault everywhere.
 func TargetFaults(c *netlist.Circuit, opt RunOptions) []fault.Fault {
 	faults := opt.Faults
 	if faults == nil {
@@ -185,13 +185,47 @@ func TargetFaults(c *netlist.Circuit, opt RunOptions) []fault.Fault {
 // canonical merge and the fault-dropping simulation shards over the same
 // number of workers; the merge keeps the outcome bit-identical to the
 // serial run (see parallel.go).
+//
+// fault_sim and podem are aggregate spans: every detection sweep and every
+// search adds its elapsed time, so with parallel workers their totals are
+// compute time, not wall clock.
 func Run(c *netlist.Circuit, opt RunOptions) RunResult {
 	start := time.Now()
 	faults := TargetFaults(c, opt)
 	opt.ATPG.prepare(c)
-	st := newRunState(c, opt, faults)
-	st.open()
+	st := &runState{
+		c:      c,
+		opt:    opt,
+		faults: faults,
+		slot:   make([]int, len(faults)),
+		psim:   fault.NewParallelSim(c, opt.Parallelism),
+		res:    RunResult{Total: len(faults)},
+	}
+	slots := make(map[fault.Fault]int, len(faults))
+	for i, f := range faults {
+		s, ok := slots[f]
+		if !ok {
+			s = len(slots)
+			slots[f] = s
+		}
+		st.slot[i] = s
+	}
+	st.dropped = make([]atomic.Bool, len(slots))
+	st.status = make([]FaultStatus, len(slots))
+	pre := make(map[fault.Fault]bool, len(opt.PreUntestable))
+	for _, f := range opt.PreUntestable {
+		pre[f] = true
+	}
+	for i, f := range faults {
+		if pre[f] && !st.dropped[st.slot[i]].Load() {
+			st.dropped[st.slot[i]].Store(true)
+			st.status[st.slot[i]] = StatusUntestable
+			st.res.Untestable++
+		}
+	}
+	st.psim.SetSpan(opt.Span.Start("fault_sim"))
 	st.podemSpan = opt.Span.Start("podem")
+
 	st.replaySeeds()
 	if workers := st.psim.Workers(); workers > 1 {
 		st.runParallel(workers)
@@ -199,18 +233,32 @@ func Run(c *netlist.Circuit, opt RunOptions) RunResult {
 		a := newArena(c, &st.opt.ATPG)
 		st.merge(func(i int) (Result, bool) { return st.generate(a, i), true })
 	}
-	return st.finish(start)
+
+	st.podemSpan.Add("targets", int64(st.res.PodemTargets))
+	st.podemSpan.Add("backtracks", int64(st.res.Backtracks))
+	if opt.CompactTests && !st.res.Canceled {
+		sp := opt.Span.Start("compact")
+		st.compactTests()
+		sp.Add("removed", int64(st.res.TestsCompacted))
+		sp.End()
+	}
+	st.res.Faults = faults
+	st.res.Status = make([]FaultStatus, len(faults))
+	for i := range faults {
+		st.res.Status[i] = st.status[st.slot[i]]
+	}
+	st.res.Duration = time.Since(start)
+	return st.res
 }
 
-// The ATPG pipeline. Every mode — the serial loop, the parallel driver and
-// the partition merge — is one canonical loop over runState: positions in
-// fault order, a cancellation poll at every boundary, dropped positions
-// skipped, and every other position's Result folded in through process.
-// The modes differ only in where position i's Result comes from: generated
-// inline (serial), awaited from a speculative worker (parallel.go) or read
-// from a gathered partition (partition.go). All mutation happens in
-// canonical order through process, which is what makes the three modes
-// bit-identical.
+// The ATPG pipeline. Both modes — the serial loop and the parallel driver —
+// are one canonical loop over runState: positions in fault order, a
+// cancellation poll at every boundary, dropped positions skipped, and
+// every other position's Result folded in through process. The modes
+// differ only in where position i's Result comes from: generated inline
+// (serial) or awaited from a speculative worker (parallel.go). All
+// mutation happens in canonical order through process, which is what
+// makes the two modes bit-identical.
 type runState struct {
 	c      *netlist.Circuit
 	opt    RunOptions
@@ -236,79 +284,10 @@ type runState struct {
 	detected []fault.Fault
 
 	// podemSpan aggregates the time spent inside PODEM searches (nil when
-	// unobserved or when the run searches nothing itself).
+	// unobserved).
 	podemSpan *obs.Span
 
 	res RunResult
-}
-
-// newRunState indexes the fault list into slots and classifies the
-// pre-untestable faults — the state every mode, the partition runner
-// included, starts from.
-func newRunState(c *netlist.Circuit, opt RunOptions, faults []fault.Fault) *runState {
-	st := &runState{
-		c:      c,
-		opt:    opt,
-		faults: faults,
-		slot:   make([]int, len(faults)),
-		res:    RunResult{Total: len(faults)},
-	}
-	slots := make(map[fault.Fault]int, len(faults))
-	for i, f := range faults {
-		s, ok := slots[f]
-		if !ok {
-			s = len(slots)
-			slots[f] = s
-		}
-		st.slot[i] = s
-	}
-	st.dropped = make([]atomic.Bool, len(slots))
-	st.status = make([]FaultStatus, len(slots))
-
-	if len(opt.PreUntestable) > 0 {
-		pre := make(map[fault.Fault]bool, len(opt.PreUntestable))
-		for _, f := range opt.PreUntestable {
-			pre[f] = true
-		}
-		for i, f := range faults {
-			if pre[f] && !st.dropped[st.slot[i]].Load() {
-				st.dropped[st.slot[i]].Store(true)
-				st.status[st.slot[i]] = StatusUntestable
-				st.res.Untestable++
-			}
-		}
-	}
-	return st
-}
-
-// open attaches the detection backend Run and MergePartitions share: a
-// ParallelSim sized like the PODEM pool, timed into the fault_sim span.
-// fault_sim (like podem) is an aggregate span: every detection sweep adds
-// its elapsed time, so with parallel workers its total is compute time,
-// not wall clock.
-func (st *runState) open() {
-	st.psim = fault.NewParallelSim(st.c, st.opt.Parallelism)
-	st.psim.SetSpan(st.opt.Span.Start("fault_sim"))
-}
-
-// finish is the epilogue every mode shares: the podem totals, the
-// compaction pass, the per-fault status vector and the duration.
-func (st *runState) finish(start time.Time) RunResult {
-	st.podemSpan.Add("targets", int64(st.res.PodemTargets))
-	st.podemSpan.Add("backtracks", int64(st.res.Backtracks))
-	if st.opt.CompactTests && !st.res.Canceled {
-		sp := st.opt.Span.Start("compact")
-		st.compactTests()
-		sp.Add("removed", int64(st.res.TestsCompacted))
-		sp.End()
-	}
-	st.res.Faults = st.faults
-	st.res.Status = make([]FaultStatus, len(st.faults))
-	for i := range st.faults {
-		st.res.Status[i] = st.status[st.slot[i]]
-	}
-	st.res.Duration = time.Since(start)
-	return st.res
 }
 
 // merge is the canonical loop. next supplies position i's Result and
@@ -332,15 +311,12 @@ func (st *runState) merge(next func(i int) (Result, bool)) {
 }
 
 // generate runs one PODEM search in the calling executor's arena, timing
-// it into the podem aggregate span when one is attached. The fill seed is
-// a pure function of the fault's list position (positionOptions), so any
-// executor reproduces exactly the test the serial loop would emit. Safe
-// from parallel workers, each with its own arena: AddTime is atomic.
+// it into the podem aggregate span. The fill seed is a pure function of
+// the fault's list position (positionOptions), so any executor reproduces
+// exactly the test the serial loop would emit. Safe from parallel workers,
+// each with its own arena: AddTime is atomic.
 func (st *runState) generate(a *arena, i int) Result {
 	opt := positionOptions(st.opt.ATPG, i)
-	if st.podemSpan == nil {
-		return a.generate(st.faults[i], &opt)
-	}
 	start := time.Now()
 	g := a.generate(st.faults[i], &opt)
 	st.podemSpan.AddTime(time.Since(start))

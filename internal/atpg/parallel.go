@@ -10,8 +10,7 @@ import (
 // frozen imply.Snapshot through the prebuilt relation index, so no learned
 // data is copied or locked. The canonical loop (runState.merge) consumes
 // their results in fault order and performs all accounting and fault
-// dropping through runState.process — the same path the serial loop and
-// the partition merge use.
+// dropping through runState.process — the same path the serial loop uses.
 //
 // Serial equivalence holds because
 //

@@ -8,8 +8,8 @@ import (
 
 // arena is the reusable search state of one PODEM executor: the expanded
 // model sized for the largest window, plus the decision stack. The serial
-// driver, every parallel or partition worker and every public Generate call
-// own one each, so no arena is ever shared between goroutines. Between
+// driver, every parallel worker and every public Generate call own one
+// each, so no arena is ever shared between goroutines. Between
 // searches the arena is idle (see expanded), and generate leaves it idle.
 type arena struct {
 	e     *expanded

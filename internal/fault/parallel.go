@@ -100,15 +100,3 @@ func (p *ParallelSim) Detect(faults []Fault) []Detection {
 	wg.Wait()
 	return out
 }
-
-// RunAll simulates every fault and returns the detected ones in input
-// order (the parallel equivalent of Sim.RunAll).
-func (p *ParallelSim) RunAll(faults []Fault) []Fault {
-	var detected []Fault
-	for i, d := range p.Detect(faults) {
-		if d.Detected {
-			detected = append(detected, faults[i])
-		}
-	}
-	return detected
-}

@@ -52,7 +52,8 @@ func TestParallelFaultSimDeterminism(t *testing.T) {
 
 // TestParallelSimReload covers the sequence-sharing path across reloads: a
 // second LoadSequence must fully replace what every worker observes, and
-// RunAll must agree with a fresh serial simulator on both sequences.
+// Detect must agree with a fresh scalar simulator's DetectAll on every
+// sequence.
 func TestParallelSimReload(t *testing.T) {
 	c := gen.MustBuild("s953")
 	faults, _ := Collapse(c)
@@ -65,18 +66,12 @@ func TestParallelSimReload(t *testing.T) {
 		if p.Frames() != 8 {
 			t.Fatalf("Frames = %d", p.Frames())
 		}
-		got := p.RunAll(faults)
+		got := dumpDetections(faults, p.Detect(faults))
 		s := NewSim(c)
 		s.LoadSequence(vectors, nil)
-		want := s.RunAll(faults)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: parallel detected %d faults, serial %d", trial, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: detection order diverges at %d: %s vs %s",
-					trial, i, got[i], want[i])
-			}
+		if want := dumpDetections(faults, s.DetectAll(faults)); got != want {
+			t.Fatalf("trial %d: parallel detection map differs from scalar oracle (%d vs %d bytes)",
+				trial, len(got), len(want))
 		}
 	}
 }

@@ -2,8 +2,8 @@
 // testing: it spawns K independent server.Server instances — each with
 // its own store, pool and metrics registry, exactly like K daemon
 // processes — over one shared cache directory, mounted on loopback
-// listeners. Tests drive them through seqlearn.Client/Fleet like any
-// remote daemon, then assert on per-instance stats and the shared disk
+// listeners. Tests drive them through seqlearn.Client like any remote
+// daemon, then assert on per-instance stats and the shared disk
 // state.
 //
 // The harness deliberately takes no *testing.T: it returns errors, so it
@@ -72,7 +72,7 @@ func (c *Cluster) Close() {
 func (c *Cluster) Servers() []*server.Server { return c.servers }
 
 // URLs returns the instances' base URLs, in start order — feed them to
-// seqlearn.NewClient / seqlearn.NewFleet.
+// seqlearn.NewClient.
 func (c *Cluster) URLs() []string {
 	out := make([]string, len(c.https))
 	for i, ts := range c.https {

@@ -3,9 +3,7 @@ package fleet
 // The fleet-grade acceptance tests of the distributed layer (run with
 // -race in CI): instances sharing one cache directory must serve
 // bit-identical results with exactly one cold learning run fleet-wide,
-// racing instances must converge on one disk artifact, and a
-// scatter/gathered partitioned run must merge bit-identically to the
-// unpartitioned one.
+// and racing instances must converge on one disk artifact.
 
 import (
 	"context"
@@ -118,62 +116,6 @@ func TestFleetColdRaceOneArtifact(t *testing.T) {
 	}
 	if n, err := cl.DiskArtifacts(); err != nil || n != 1 {
 		t.Fatalf("disk artifacts = %d (%v), want exactly 1", n, err)
-	}
-}
-
-// TestFleetScatterGatherBitIdentical is the cross-instance sharding
-// acceptance gate: a 3-way scatter/gather over the fleet must merge to
-// exactly the single-instance result — counts, vectors, compaction —
-// with one learning run fleet-wide (the shards resolve the artifact
-// through the shared cache dir).
-func TestFleetScatterGatherBitIdentical(t *testing.T) {
-	cl, err := Start(3, serverConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	ctx := context.Background()
-	urls := cl.URLs()
-	c := gen.MustBuild("s953")
-	params := seqlearn.ServiceATPGParams{
-		Mode: "forbidden", MaxFaults: 120, Workers: 1, Compact: true, IncludeTests: true,
-	}
-
-	// Pre-warm instance 0 so the scatter resolves the artifact from the
-	// shared dir everywhere: one cold learning run fleet-wide.
-	single := seqlearn.NewClient(urls[0])
-	want, err := single.GenerateTests(ctx, c, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fleet := seqlearn.NewFleet(urls...)
-	merged, err := fleet.GenerateTests(ctx, c, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if merged.Detected != want.Detected || merged.Untestable != want.Untestable ||
-		merged.Aborted != want.Aborted || merged.Backtracks != want.Backtracks ||
-		len(merged.Tests) != want.Tests || merged.TestsCompacted != want.TestsCompacted {
-		t.Fatalf("merged scatter differs from single instance:\nmerged detected=%d untestable=%d aborted=%d backtracks=%d tests=%d compacted=%d\nsingle %+v",
-			merged.Detected, merged.Untestable, merged.Aborted, merged.Backtracks,
-			len(merged.Tests), merged.TestsCompacted, want)
-	}
-	for i, test := range merged.Tests {
-		if !reflect.DeepEqual(seqlearn.FormatServiceTest(test), want.TestVectors[i]) {
-			t.Fatalf("merged test %d differs from single-instance vectors", i)
-		}
-	}
-	if merged.VerifyFailures != 0 {
-		t.Fatalf("merged run has %d verify failures", merged.VerifyFailures)
-	}
-
-	if n := cl.TotalLearns(); n != 1 {
-		t.Fatalf("fleet-wide learning runs = %d, want exactly 1", n)
-	}
-	if n, err := cl.DiskArtifacts(); err != nil || n != 1 {
-		t.Fatalf("disk artifacts = %d (%v), want 1", n, err)
 	}
 }
 

@@ -140,17 +140,6 @@ type ATPGParams struct {
 	// replayed through the packed fault simulator and PODEM targets only
 	// the residue.
 	Reuse string
-
-	// Partition, in the wire form "i/n" with 0 <= i < n, asks for the
-	// fault-partition mode: the daemon runs PODEM only for fault-list
-	// positions p with p % n == i, with no fault dropping, and answers an
-	// ATPGPartitionResponse of speculative per-position results. A client
-	// scatters the n shards across a fleet and gathers them through
-	// atpg.MergePartitions into a result bit-identical to the unpartitioned
-	// run (seqlearn.Fleet wraps the whole dance). Empty = normal full run.
-	// Mutually exclusive with Reuse: dropping, seeding and caching are
-	// merge-side concerns.
-	Partition string
 }
 
 // atpgMode parses the wire mode name.
@@ -221,9 +210,6 @@ func (p ATPGParams) Query() url.Values {
 	if p.Reuse != "" {
 		q.Set("reuse", p.Reuse)
 	}
-	if p.Partition != "" {
-		q.Set("partition", p.Partition)
-	}
 	return q
 }
 
@@ -231,7 +217,7 @@ func (p ATPGParams) Query() url.Values {
 // (the snapshot is resolved through the same cache) plus its own.
 var atpgQueryKeys = append([]string{
 	"mode", "backtracks", "max_faults", "max_window", "atpg_workers",
-	"compact", "fill_seed", "include_tests", "reuse", "partition",
+	"compact", "fill_seed", "include_tests", "reuse",
 }, learnQueryKeys...)
 
 func atpgParamsFromQuery(q url.Values) (ATPGParams, error) {
@@ -272,16 +258,6 @@ func atpgParamsFromQuery(q url.Values) (ATPGParams, error) {
 		return p, err
 	}
 	p.Reuse = q.Get("reuse")
-	p.Partition = q.Get("partition")
-	if p.Partition != "" {
-		if _, err := atpg.ParsePartition(p.Partition); err != nil {
-			return p, err
-		}
-		if p.Reuse != "" {
-			return p, fmt.Errorf("partition and reuse are mutually exclusive: " +
-				"seeding and fault dropping happen at merge time, not in a partition shard")
-		}
-	}
 	return p, nil
 }
 
@@ -413,45 +389,6 @@ type ATPGResponse struct {
 	Trace *obs.TraceJSON `json:"trace,omitempty"`
 }
 
-// ATPGPartitionEntry is one speculative per-position result inside an
-// ATPGPartitionResponse: exactly the fields atpg.Result carries that the
-// canonical merge consumes.
-type ATPGPartitionEntry struct {
-	// Position is the fault-list index this result belongs to (the fault
-	// list is the collapsed universe of the posted circuit, truncated by
-	// max_faults — every executor resolves the same list).
-	Position   int    `json:"position"`
-	Outcome    string `json:"outcome"` // "detected", "untestable" or "aborted"
-	Backtracks int    `json:"backtracks,omitempty"`
-
-	// Test is the generated sequence for detected outcomes, FormatTest
-	// frames; absent otherwise.
-	Test []string `json:"test,omitempty"`
-}
-
-// ATPGPartitionResponse is the JSON answer of POST /v1/atpg?partition=i/n:
-// one shard of a scatter/gathered run. Results are speculative (no fault
-// dropping); atpg.MergePartitions replays them in canonical order into a
-// result bit-identical to the unpartitioned run. Partition responses are
-// never cached — the merged whole is what a repeat request wants, and the
-// unpartitioned key already addresses it.
-type ATPGPartitionResponse struct {
-	Circuit     string `json:"circuit"`
-	Fingerprint string `json:"fingerprint"` // learning artifact (circuit + learn options)
-	Cache       string `json:"cache"`       // how the learning artifact was obtained
-
-	Partition string               `json:"partition"` // echoed "i/n"
-	Total     int                  `json:"total"`     // full fault-list length
-	Results   []ATPGPartitionEntry `json:"results"`
-
-	Generated  int     `json:"generated"`  // positions actually searched
-	Backtracks int     `json:"backtracks"` // summed over this shard
-	ElapsedMS  float64 `json:"elapsed_ms"`
-
-	// Trace is the request's span tree, present with debug=trace.
-	Trace *obs.TraceJSON `json:"trace,omitempty"`
-}
-
 // FaultSimResponse is the JSON answer of POST /v1/faultsim.
 type FaultSimResponse struct {
 	Circuit   string  `json:"circuit"`
@@ -530,49 +467,6 @@ func FormatTest(test [][]logic.V) []string {
 		out[t] = string(b)
 	}
 	return out
-}
-
-// ParseTest is the inverse of FormatTest: frame strings back to PI
-// vectors, validating every frame against the primary-input count. The
-// fleet client uses it to reconstruct partition results for the canonical
-// merge, so a corrupted wire test fails loudly instead of simulating
-// garbage.
-func ParseTest(frames []string, numPIs int) ([][]logic.V, error) {
-	test := make([][]logic.V, len(frames))
-	for t, frame := range frames {
-		if len(frame) != numPIs {
-			return nil, fmt.Errorf("test frame %d: %d values for %d primary inputs", t, len(frame), numPIs)
-		}
-		vec := make([]logic.V, numPIs)
-		for i := 0; i < len(frame); i++ {
-			switch frame[i] {
-			case '0':
-				vec[i] = logic.Zero
-			case '1':
-				vec[i] = logic.One
-			case 'X':
-				vec[i] = logic.X
-			default:
-				return nil, fmt.Errorf("test frame %d: bad value %q", t, frame[i])
-			}
-		}
-		test[t] = vec
-	}
-	return test, nil
-}
-
-// ParseOutcome maps the wire outcome name back to atpg.Outcome — the
-// inverse of atpg.Outcome.String for the values a partition shard emits.
-func ParseOutcome(s string) (atpg.Outcome, error) {
-	switch s {
-	case "detected":
-		return atpg.Detected, nil
-	case "untestable":
-		return atpg.Untestable, nil
-	case "aborted":
-		return atpg.Aborted, nil
-	}
-	return 0, fmt.Errorf("unknown outcome %q", s)
 }
 
 // checkKnown rejects query parameters outside the endpoint's key set, so a

@@ -10,10 +10,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/atpg"
 	"repro/internal/circuits"
 	"repro/internal/gen"
-	"repro/internal/store"
 )
 
 // postReq is the header-aware sibling of post: it returns the raw response
@@ -151,114 +149,4 @@ func TestTenantValidationAndStats(t *testing.T) {
 	if st.Tenants["team-a"].Requests != 3 || st.Tenants["default"].Requests != 1 {
 		t.Fatalf("tenant stats = %+v", st.Tenants)
 	}
-}
-
-// TestATPGPartitionEndpoint is the cross-instance sharding gate: shards
-// fetched over HTTP, reconstructed from the wire form and merged through
-// atpg.MergePartitions must be bit-identical to the unpartitioned served
-// run — and shards themselves must never enter the test-set cache.
-func TestATPGPartitionEndpoint(t *testing.T) {
-	srv := New(Config{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	c := gen.MustBuild("s953")
-	body := benchText(t, c)
-	params := ATPGParams{Mode: "forbidden", MaxFaults: 120, Workers: 1, Compact: true, IncludeTests: true}
-
-	const n = 3
-	parts := make([]atpg.PartitionResult, n)
-	for i := 0; i < n; i++ {
-		pp := params
-		pp.IncludeTests = false
-		pp.Partition = atpg.Partition{Index: i, Count: n}.String()
-		shard := postOK[ATPGPartitionResponse](t, ts, "/v1/atpg", pp.Query(), body, nil)
-		if shard.Partition != pp.Partition {
-			t.Fatalf("shard %d echoed partition %q", i, shard.Partition)
-		}
-		pr, err := reconstructPartition(shard, len(c.PIs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts[i] = pr
-	}
-	if runs := srv.Store().Stats().ATPGRuns; runs != 0 {
-		t.Fatalf("partition shards entered the test-set cache: %d runs recorded", runs)
-	}
-
-	// Merge locally, against the same canonical circuit instance the
-	// daemon used (re-parse of the identical text).
-	st := store.New(store.Options{})
-	art, _, err := st.Learn(c, params.Learn.Options())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := params.RunOptions(art)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged, err := atpg.MergePartitions(art.Circuit, opt, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	want := post[ATPGResponse](t, ts, "/v1/atpg", params.Query(), body)
-	if merged.Detected != want.Detected || merged.Untestable != want.Untestable ||
-		merged.Aborted != want.Aborted || len(merged.Tests) != want.Tests ||
-		merged.TestsCompacted != want.TestsCompacted {
-		t.Fatalf("merged shards differ from unpartitioned run:\nmerged detected=%d untestable=%d aborted=%d tests=%d\nserved %+v",
-			merged.Detected, merged.Untestable, merged.Aborted, len(merged.Tests), want)
-	}
-	for i, test := range merged.Tests {
-		if !reflect.DeepEqual(FormatTest(test), want.TestVectors[i]) {
-			t.Fatalf("merged test %d differs from served vectors", i)
-		}
-	}
-
-	// partition+reuse and malformed partitions are request errors.
-	for _, tc := range []struct{ partition, reuse string }{
-		{"0/2", "auto"},
-		{"2/2", ""},
-		{"x/y", ""},
-		{"-1/2", ""},
-	} {
-		pp := params
-		pp.Partition = tc.partition
-		pp.Reuse = tc.reuse
-		resp, data := postReq(t, ts, "/v1/atpg", pp.Query(), body, nil)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("partition=%q reuse=%q: status %d, want 400: %s", tc.partition, tc.reuse, resp.StatusCode, data)
-		}
-	}
-}
-
-// reconstructPartition rebuilds the engine-level partition result from its
-// wire form — the same decoding seqlearn.Fleet performs before merging.
-func reconstructPartition(shard ATPGPartitionResponse, numPIs int) (atpg.PartitionResult, error) {
-	part, err := atpg.ParsePartition(shard.Partition)
-	if err != nil {
-		return atpg.PartitionResult{}, err
-	}
-	pr := atpg.PartitionResult{
-		Partition:  part,
-		Total:      shard.Total,
-		Positions:  make([]int, len(shard.Results)),
-		Results:    make([]atpg.Result, len(shard.Results)),
-		Generated:  shard.Generated,
-		Backtracks: shard.Backtracks,
-	}
-	for i, e := range shard.Results {
-		pr.Positions[i] = e.Position
-		outcome, err := ParseOutcome(e.Outcome)
-		if err != nil {
-			return atpg.PartitionResult{}, err
-		}
-		res := atpg.Result{Outcome: outcome, Backtracks: e.Backtracks}
-		if outcome == atpg.Detected {
-			if res.Test, err = ParseTest(e.Test, numPIs); err != nil {
-				return atpg.PartitionResult{}, err
-			}
-		}
-		pr.Results[i] = res
-	}
-	return pr, nil
 }

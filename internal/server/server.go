@@ -31,7 +31,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/atpg"
 	"repro/internal/bench"
 	"repro/internal/fault"
 	"repro/internal/learn"
@@ -573,10 +572,6 @@ func (s *Server) handleATPG(w http.ResponseWriter, r *http.Request) {
 	// driver's cooperative cancellation, checked at every fault boundary,
 	// and a canceled run is never cached.
 	opt.Cancel = ctx.Done()
-	if params.Partition != "" {
-		s.serveATPGPartition(w, ctx, tr, start, params, c, art, src, opt)
-		return
-	}
 	asp := tr.Root().Start("atpg")
 	opt.Span = asp
 	// Resolve through the test-set cache against the artifact's canonical
@@ -624,62 +619,6 @@ func (s *Server) handleATPG(w http.ResponseWriter, r *http.Request) {
 		for i, test := range res.Tests {
 			resp.TestVectors[i] = FormatTest(test)
 		}
-	}
-	if params.Learn.Trace {
-		resp.Trace = tr.JSON()
-	}
-	s.writeJSON(w, resp)
-}
-
-// serveATPGPartition runs one speculative shard of a partitioned ATPG run
-// (?partition=i/n) and returns the raw per-position results. Shards are
-// never cached — a shard is not a test set, and the merge (client-side,
-// atpg.MergePartitions) is where dropping, seeding and compaction happen.
-func (s *Server) serveATPGPartition(w http.ResponseWriter, ctx context.Context, tr *obs.Trace,
-	start time.Time, params ATPGParams, c *netlist.Circuit, art *store.Artifact,
-	src store.Source, opt atpg.RunOptions) {
-	part, err := atpg.ParsePartition(params.Partition)
-	if err != nil {
-		// Already validated at query decode; kept as a guard.
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	psp := tr.Root().Start("atpg_partition")
-	opt.Span = psp
-	// Run against the artifact's canonical circuit instance: the learned
-	// snapshot's node ids refer to it, and fault enumeration order — which
-	// the partition contract depends on — is a property of that instance.
-	pres := atpg.RunPartition(art.Circuit, opt, part)
-	psp.Add("positions", int64(len(pres.Positions)))
-	psp.End()
-	if pres.Canceled {
-		code, cerr := s.cancelStatus(ctx, "mid-run")
-		s.writeError(w, code, cerr)
-		return
-	}
-	s.served["atpg"].Inc()
-	resp := ATPGPartitionResponse{
-		Circuit:     c.Name,
-		Fingerprint: art.Fingerprint,
-		Cache:       src.String(),
-		Partition:   pres.Partition.String(),
-		Total:       pres.Total,
-		Results:     make([]ATPGPartitionEntry, len(pres.Positions)),
-		Generated:   pres.Generated,
-		Backtracks:  pres.Backtracks,
-		ElapsedMS:   ms(time.Since(start)),
-	}
-	for i, pos := range pres.Positions {
-		g := pres.Results[i]
-		e := ATPGPartitionEntry{
-			Position:   pos,
-			Outcome:    g.Outcome.String(),
-			Backtracks: g.Backtracks,
-		}
-		if g.Outcome == atpg.Detected {
-			e.Test = FormatTest(g.Test)
-		}
-		resp.Results[i] = e
 	}
 	if params.Learn.Trace {
 		resp.Trace = tr.JSON()

@@ -260,6 +260,7 @@ func TestBadRequests(t *testing.T) {
 		{"unknown learn param", "POST", "/v1/learn?no_earlystop=1", body, http.StatusBadRequest},
 		{"atpg param on learn", "POST", "/v1/learn?backtracks=30", body, http.StatusBadRequest},
 		{"unknown atpg param", "POST", "/v1/atpg?backtrack=30", body, http.StatusBadRequest},
+		{"removed partition param", "POST", "/v1/atpg?partition=0/2", body, http.StatusBadRequest},
 		{"unknown faultsim param", "POST", "/v1/faultsim?frame=12", body, http.StatusBadRequest},
 		{"wrong method", "GET", "/v1/learn", "", http.StatusMethodNotAllowed},
 		{"unknown path", "POST", "/v1/psychic", body, http.StatusNotFound},

@@ -35,9 +35,6 @@ type (
 	ServiceLearnResult = server.LearnResponse
 	// ServiceATPGResult is the answer of a remote test-generation request.
 	ServiceATPGResult = server.ATPGResponse
-	// ServiceATPGPartitionResult is the answer of a remote partitioned
-	// test-generation shard (see Fleet).
-	ServiceATPGPartitionResult = server.ATPGPartitionResponse
 	// ServiceFaultSimResult is the answer of a remote fault-simulation
 	// request.
 	ServiceFaultSimResult = server.FaultSimResponse
@@ -180,18 +177,6 @@ func (cl *Client) GenerateTests(ctx context.Context, c *Circuit, p ServiceATPGPa
 		return nil, fmt.Errorf("seqlearn: client: daemon answered malformed reuse fingerprint %q", res.ReuseFingerprint)
 	}
 	return res, err
-}
-
-// GenerateTestsPartition runs one shard of a partitioned ATPG run
-// (?partition=i/n): speculative per-position results with no fault
-// dropping, to be merged by Fleet (or atpg.MergePartitions directly)
-// into a result bit-identical to the unpartitioned run.
-func (cl *Client) GenerateTestsPartition(ctx context.Context, c *Circuit, p ServiceATPGParams, part PartitionSpec) (*ServiceATPGPartitionResult, error) {
-	p.Partition = part.String()
-	p.Reuse = ""
-	p.IncludeTests = false
-	return postWarm(ctx, cl, "/v1/atpg", p.Query(), c, learnFPKey(c, p.Learn),
-		func(r *ServiceATPGPartitionResult) string { return r.Fingerprint })
 }
 
 // SimulateFaults fault-simulates c's collapsed fault universe remotely

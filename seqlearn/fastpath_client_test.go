@@ -179,10 +179,7 @@ func TestClientRejectsMalformedFingerprint(t *testing.T) {
 	if _, err := cl.GenerateTests(ctx, c, seqlearn.ServiceATPGParams{}); err == nil {
 		t.Fatal("atpg: empty fingerprint accepted")
 	}
-	if _, err := cl.GenerateTestsPartition(ctx, c, seqlearn.ServiceATPGParams{}, seqlearn.PartitionSpec{Index: 0, Count: 2}); err == nil {
-		t.Fatal("atpg partition: empty fingerprint accepted")
-	}
-	if h, b := headers.Load(), bodies.Load(); h != 0 || b != 4 {
-		t.Fatalf("requests with fingerprint header = %d, with body = %d; want 0 and 4 (nothing cached)", h, b)
+	if h, b := headers.Load(), bodies.Load(); h != 0 || b != 3 {
+		t.Fatalf("requests with fingerprint header = %d, with body = %d; want 0 and 3 (nothing cached)", h, b)
 	}
 }
