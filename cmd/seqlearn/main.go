@@ -7,6 +7,7 @@
 //	seqlearn -circuit s5378            # synthetic suite stand-in
 //	seqlearn -bench design.bench       # extended ISCAS-89 netlist
 //	seqlearn -circuit figure1 -dump    # dump every learned relation
+//	seqlearn -circuit s953 -trace      # also print the run's span tree
 //	seqlearn -circuit s953 -remote http://127.0.0.1:8344   # via a seqlearnd daemon
 package main
 
@@ -38,6 +39,7 @@ func main() {
 		noEarly    = flag.Bool("no-early-stop", false, "disable the repeated-state stopping rule (ablation)")
 		workers    = flag.Int("workers", 0, "learning workers (0 = one per core, 1 = serial; results identical)")
 		remote     = flag.String("remote", "", "run against a seqlearnd daemon at this base URL instead of in-process")
+		trace      = flag.Bool("trace", false, "print the run's span tree (parse, learn with its phases and freeze) after the results")
 		version    = flag.Bool("version", false, "print build identity and exit")
 	)
 	flag.IntVar(workers, "j", 0, "alias for -workers")
@@ -48,7 +50,20 @@ func main() {
 		return
 	}
 
+	// A nil trace makes every span call a no-op.
+	var tr *obs.Trace
+	if *trace {
+		if *remote != "" {
+			fmt.Fprintln(os.Stderr, "seqlearn: -trace is in-process only")
+			os.Exit(1)
+		}
+		tr = obs.NewTrace("seqlearn", "seqlearn")
+	}
+	root := tr.Root()
+
+	sp := root.Start("parse")
 	c, err := load(*circuit, *benchFile)
+	sp.End()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "seqlearn:", err)
 		os.Exit(1)
@@ -71,7 +86,12 @@ func main() {
 
 	// The in-process run goes through the same params struct as the remote
 	// one, so a local ablation and its remote replay configure identically.
-	res := learn.Learn(c, params.Options())
+	opts := params.Options()
+	sp = root.Start("learn")
+	opts.Span = sp
+	res := learn.Learn(c, opts)
+	sp.End()
+	root.End()
 	ffff, gateFF, _ := res.DB.Counts(true)
 	fmt.Printf("%s: %s\n", c.Name, c.Stats())
 	fmt.Printf("sequential relations: FF-FF=%d Gate-FF=%d\n", ffff, gateFF)
@@ -87,6 +107,9 @@ func main() {
 		for _, tie := range append(append([]learn.Tie{}, res.CombTies...), res.SeqTies...) {
 			fmt.Printf("tie %s = %s (frame %d)\n", c.NameOf(tie.Node), tie.Val, tie.Frame)
 		}
+	}
+	if tr != nil {
+		tr.JSON().Root.WriteText(os.Stdout)
 	}
 }
 

@@ -18,7 +18,7 @@
 package imply
 
 import (
-	"sort"
+	"cmp"
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -89,27 +89,36 @@ func litKey(l Lit) int {
 	return k
 }
 
-// relLess is the canonical relation order of a Snapshot.
-func relLess(a, b Relation) bool {
+// litCmp orders literals by (node, value).
+func litCmp(a, b Lit) int {
+	if a.Node != b.Node {
+		return cmp.Compare(a.Node, b.Node)
+	}
+	return cmp.Compare(a.Val, b.Val)
+}
+
+// relCmp is the canonical relation order of a Snapshot: displacement,
+// then antecedent, then consequent.
+func relCmp(a, b Relation) int {
 	if a.Dt != b.Dt {
-		return a.Dt < b.Dt
+		return cmp.Compare(a.Dt, b.Dt)
 	}
 	if a.A != b.A {
-		return a.A.less(b.A)
+		return litCmp(a.A, b.A)
 	}
-	return a.B.less(b.B)
+	return litCmp(a.B, b.B)
 }
 
 // DB is a deduplicating store of learned relations for one circuit: the
 // mutable, write-only *builder* half of the implication database. Learning
-// (Add) and snapshot loading (Deserialize) write here; every reader —
-// ATPG, FIRES, the harness, the tests — consumes the frozen, immutable
-// Snapshot produced by Freeze. Every relation carries a flag
-// recording whether it is derivable in the combinational logic alone
-// (frame 0, no crossing of sequential elements); the paper's Table 3
-// reports only the relations that are *not* (what only sequential learning
-// can extract), and the ATPG's no-sequential-learning baseline uses only
-// the ones that are. A DB is not safe for concurrent use.
+// (Add) writes here; every reader — ATPG, FIRES, the harness, the tests —
+// consumes the frozen, immutable Snapshot produced by Freeze (or read back
+// by LoadSnapshot). Every relation carries a flag recording whether it is
+// derivable in the combinational logic alone (frame 0, no crossing of
+// sequential elements); the paper's Table 3 reports only the relations
+// that are *not* (what only sequential learning can extract), and the
+// ATPG's no-sequential-learning baseline uses only the ones that are. A DB
+// is not safe for concurrent use.
 type DB struct {
 	c   *netlist.Circuit
 	set map[Relation]relMeta
@@ -161,14 +170,4 @@ func (db *DB) Add(a, b Lit, dt int, comb bool, depth int) bool {
 	}
 	db.set[r] = relMeta{comb: comb, depth: int16(depth)}
 	return true
-}
-
-// relations returns all stored relations in canonical order.
-func (db *DB) relations() []Relation {
-	out := make([]Relation, 0, len(db.set))
-	for r := range db.set {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return relLess(out[i], out[j]) })
-	return out
 }

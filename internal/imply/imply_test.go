@@ -1,6 +1,7 @@
 package imply
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,7 +10,7 @@ import (
 	"repro/internal/netlist"
 )
 
-func testCircuit(t *testing.T) *netlist.Circuit {
+func testCircuit(t testing.TB) *netlist.Circuit {
 	t.Helper()
 	b := netlist.NewBuilder("tc")
 	b.PI("a")
@@ -284,11 +285,10 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if err := s.Serialize(&sb); err != nil {
 		t.Fatal(err)
 	}
-	db2 := NewDB(c)
-	if err := db2.Deserialize(strings.NewReader(sb.String())); err != nil {
+	s2, err := LoadSnapshot(c, strings.NewReader(sb.String()))
+	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := db2.Freeze()
 	if s2.Len() != s.Len() {
 		t.Fatalf("Len %d != %d", s2.Len(), s.Len())
 	}
@@ -305,19 +305,79 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDeserializeErrors: every malformed line is rejected with its line
+// number; comments and blank lines load.
 func TestDeserializeErrors(t *testing.T) {
 	c := testCircuit(t)
+	for _, tc := range []struct{ why, src string }{
+		{"unknown node", "nope 1 f1 0 0 false 0\n"},
+		{"bad value", "f1 2 f2 0 0 false 0\n"},
+		{"garbage", "garbage\n"},
+		{"trailing field", "f1 1 f2 0 0 false 0 extra\n"},
+		{"missing field", "f1 1 f2 0 0 false\n"},
+		{"bad bool", "f1 1 f2 0 0 maybe 0\n"},
+		{"bad dt", "f1 1 f2 0 1x false 0\n"},
+		{"dt above int16", "f1 1 f2 0 32768 false 0\n"},
+		{"dt below int16", "f1 1 f2 0 -32769 false 0\n"},
+		{"depth above int16", "f1 1 f2 0 0 false 40000\n"},
+	} {
+		src := "# header\nf1 1 f2 0 0 false 0\n" + tc.src
+		_, err := LoadSnapshot(c, strings.NewReader(src))
+		if err == nil {
+			t.Errorf("%s accepted: %q", tc.why, tc.src)
+		} else if !strings.Contains(err.Error(), "line 3:") {
+			t.Errorf("%s: error %q does not name line 3", tc.why, err)
+		}
+	}
+	s, err := LoadSnapshot(c, strings.NewReader("# comment\n\n  \t\nf1 1 f2 0 -32768 false 32767\r\n"))
+	if err != nil {
+		t.Fatalf("comments/blank lines rejected: %v", err)
+	}
+	if s.Len() != 1 || s.DepthOf(lit(c, "f1", logic.One), lit(c, "f2", logic.Zero), -32768) != 32767 {
+		t.Fatalf("int16 extremes did not load: %d relations", s.Len())
+	}
+}
+
+// TestLoadSnapshotMatchesFreeze: lines in any order, repeated, and in
+// either contrapositive form load to the snapshot that adding the same
+// relations to a DB and freezing it produces.
+func TestLoadSnapshotMatchesFreeze(t *testing.T) {
+	c := testCircuit(t)
+	f1, f2 := lit(c, "f1", logic.One), lit(c, "f2", logic.Zero)
+	g1, g2 := lit(c, "g1", logic.One), lit(c, "g2", logic.Zero)
 	db := NewDB(c)
-	if err := db.Deserialize(strings.NewReader("nope 1 f1 0 0 false 0\n")); err == nil {
-		t.Error("unknown node accepted")
+	db.Add(g1, f1, 1, false, 3)
+	db.Add(f1, f2, 0, false, 2)
+	db.Add(f2.Not(), f1.Not(), 0, true, 5) // contrapositive repeat: comb upgrade, depth kept at 2
+	db.Add(g1, f1, 1, false, 1)            // repeat: depth falls to 1
+	db.Add(g2, g2.Not(), 0, true, 0)       // rejected: same node in one frame
+	db.Add(g2, f2, 0, false, 0)
+	const src = "g1 1 f1 1 1 false 3\n" +
+		"f1 1 f2 0 0 false 2\n" +
+		"f2 1 f1 0 0 true 5\n" +
+		"g1 1 f1 1 1 false 1\n" +
+		"g2 0 g2 1 0 true 0\n" +
+		"g2 0 f2 0 0 false 0\n"
+	got, err := LoadSnapshot(c, strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := db.Deserialize(strings.NewReader("f1 2 f2 0 0 false 0\n")); err == nil {
-		t.Error("bad value accepted")
+	var want, have strings.Builder
+	if err := db.Freeze().Serialize(&want); err != nil {
+		t.Fatal(err)
 	}
-	if err := db.Deserialize(strings.NewReader("garbage\n")); err == nil {
-		t.Error("garbage accepted")
+	if err := got.Serialize(&have); err != nil {
+		t.Fatal(err)
 	}
-	if err := db.Deserialize(strings.NewReader("# comment\n\nf1 1 f2 0 0 false 0\n")); err != nil {
-		t.Errorf("comments/blank lines rejected: %v", err)
+	if have.String() != want.String() {
+		t.Fatalf("LoadSnapshot:\n%s\nDB.Add+Freeze:\n%s", have.String(), want.String())
+	}
+	if !got.IsCombinational(f1, f2, 0) || got.DepthOf(f1, f2, 0) != 2 || got.DepthOf(g1, f1, 1) != 1 {
+		t.Fatal("repeats did not merge like DB.Add")
+	}
+	for _, l := range []Lit{f1, f2.Not(), g1, g2} {
+		if !slices.Equal(got.SameFrameImplied(l), db.Freeze().SameFrameImplied(l)) {
+			t.Fatalf("same-frame index differs for %v", l)
+		}
 	}
 }

@@ -4,7 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -17,7 +18,7 @@ import (
 // one snapshot concurrently without locks.
 type Snapshot struct {
 	c    *netlist.Circuit
-	rels []Relation // canonical relations in relLess order
+	rels []Relation // canonical relations in relCmp order
 	meta []relMeta  // parallel to rels
 
 	// Same-frame implications in CSR form: for literal key k (2*node+val),
@@ -26,17 +27,36 @@ type Snapshot struct {
 	sfDst []Lit
 }
 
+// relEntry pairs a canonical relation with its metadata: the unit Freeze
+// and LoadSnapshot sort into a Snapshot.
+type relEntry struct {
+	r Relation
+	m relMeta
+}
+
+func entryCmp(a, b relEntry) int { return relCmp(a.r, b.r) }
+
 // Freeze produces an immutable snapshot of the database's current
 // contents. The builder remains usable; later Adds do not affect the
 // returned snapshot.
 func (db *DB) Freeze() *Snapshot {
-	s := &Snapshot{c: db.c, rels: db.relations()}
-	s.meta = make([]relMeta, len(s.rels))
-	for i, r := range s.rels {
-		s.meta[i] = db.set[r]
+	es := make([]relEntry, 0, len(db.set))
+	for r, m := range db.set {
+		es = append(es, relEntry{r: r, m: m})
+	}
+	slices.SortFunc(es, entryCmp)
+	return newSnapshot(db.c, es)
+}
+
+// newSnapshot builds a snapshot from distinct canonical entries in relCmp
+// order.
+func newSnapshot(c *netlist.Circuit, es []relEntry) *Snapshot {
+	s := &Snapshot{c: c, rels: make([]Relation, len(es)), meta: make([]relMeta, len(es))}
+	for i, e := range es {
+		s.rels[i], s.meta[i] = e.r, e.m
 	}
 
-	nk := 2 * db.c.NumNodes()
+	nk := 2 * c.NumNodes()
 	s.sfOff = make([]int32, nk+1)
 	for _, r := range s.rels {
 		if r.Dt != 0 {
@@ -62,8 +82,7 @@ func (db *DB) Freeze() *Snapshot {
 		fill[k]++
 	}
 	for k := 0; k < nk; k++ {
-		bucket := s.sfDst[s.sfOff[k]:s.sfOff[k+1]]
-		sort.Slice(bucket, func(i, j int) bool { return bucket[i].less(bucket[j]) })
+		slices.SortFunc(s.sfDst[s.sfOff[k]:s.sfOff[k+1]], litCmp)
 	}
 	return s
 }
@@ -81,9 +100,7 @@ func (s *Snapshot) Relations() []Relation { return s.rels }
 
 // find binary-searches the canonical form of r.
 func (s *Snapshot) find(r Relation) (relMeta, bool) {
-	r = r.canonical()
-	i := sort.Search(len(s.rels), func(i int) bool { return !relLess(s.rels[i], r) })
-	if i < len(s.rels) && s.rels[i] == r {
+	if i, ok := slices.BinarySearchFunc(s.rels, r.canonical(), relCmp); ok {
 		return s.meta[i], true
 	}
 	return relMeta{}, false
@@ -188,8 +205,8 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 	return nil
 }
 
-// Serialize writes the snapshot in a line-oriented format that
-// DB.Deserialize (and LoadSnapshot) reads back: one relation per line,
+// Serialize writes the snapshot in the line-oriented format LoadSnapshot
+// reads back: one relation per line,
 //
 //	<nameA> <valA> <nameB> <valB> <dt> <comb> <depth>
 //
@@ -200,15 +217,30 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 // byte-identical output.
 func (s *Snapshot) Serialize(w io.Writer) error {
 	bw := bufio.NewWriter(w)
+	var line []byte
 	for i, r := range s.rels {
-		if _, err := fmt.Fprintf(bw, "%s %s %s %s %d %t %d\n",
-			s.c.NameOf(r.A.Node), r.A.Val,
-			s.c.NameOf(r.B.Node), r.B.Val,
-			r.Dt, s.meta[i].comb, s.meta[i].depth); err != nil {
+		line = appendLit(line[:0], s.c, r.A)
+		line = append(line, ' ')
+		line = appendLit(line, s.c, r.B)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, int64(r.Dt), 10)
+		line = append(line, ' ')
+		line = strconv.AppendBool(line, s.meta[i].comb)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, int64(s.meta[i].depth), 10)
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// appendLit appends "<name> <value>".
+func appendLit(b []byte, c *netlist.Circuit, l Lit) []byte {
+	b = append(b, c.NameOf(l.Node)...)
+	b = append(b, ' ')
+	return append(b, l.Val.String()...)
 }
 
 // HasNamed is a test convenience: it resolves "A=1 -> B=0" style queries

@@ -122,7 +122,7 @@ func TestSnapshotImmutableUnderLaterAdds(t *testing.T) {
 }
 
 // TestSnapshotSerializeMatchesDB pins the serialized line format of a
-// snapshot and checks it round-trips through the builder's Deserialize.
+// snapshot and checks it round-trips through LoadSnapshot.
 func TestSnapshotSerializeMatchesDB(t *testing.T) {
 	c := snapCircuit(t)
 	db := NewDB(c)
@@ -136,13 +136,13 @@ func TestSnapshotSerializeMatchesDB(t *testing.T) {
 	if fromSnap.String() != want {
 		t.Fatalf("snapshot serialization:\n%s\nwant:\n%s", fromSnap.String(), want)
 	}
-	// And the round trip re-reads into an equal builder.
-	db2 := NewDB(c)
-	if err := db2.Deserialize(strings.NewReader(fromSnap.String())); err != nil {
+	// And the round trip re-reads into an equal snapshot.
+	s2, err := LoadSnapshot(c, strings.NewReader(fromSnap.String()))
+	if err != nil {
 		t.Fatal(err)
 	}
 	var again strings.Builder
-	if err := db2.Freeze().Serialize(&again); err != nil {
+	if err := s2.Serialize(&again); err != nil {
 		t.Fatal(err)
 	}
 	if again.String() != want {

@@ -42,23 +42,26 @@ type injOut struct {
 
 // CombinationalParallel is Combinational sharded over workers (0 = one per
 // core, clamped like every other pool). Injections are independent — each
-// runs in a clean frame against the same read-only tie constants — so
-// workers fill per-injection shards and a serial merge in canonical node
-// order performs every db.Add and tie emission exactly as the serial sweep
-// would: the resulting database and tie list are bit-identical for any
-// worker count (TestCombinationalParallelDeterminism).
+// runs from the same settled tie frame — so workers fill per-injection
+// shards and a serial merge in canonical node order performs every db.Add
+// and tie emission exactly as the serial sweep would: the resulting
+// database and tie list are bit-identical for any worker count
+// (TestCombinationalParallelDeterminism).
 func CombinationalParallel(c *netlist.Circuit, db *imply.DB, ties map[netlist.NodeID]logic.V, workers int) []Tie {
+	tieVal := make([]logic.V, c.NumNodes())
+	for n, v := range ties {
+		tieVal[n] = v
+	}
 	// Injection sites in canonical node order.
 	var nodes []netlist.NodeID
 	for id := range c.Nodes {
-		n := netlist.NodeID(id)
 		if c.Nodes[id].Kind == netlist.KindPI {
 			continue // PI injections yield only forward facts already cheap for ATPG
 		}
-		if _, tied := ties[n]; tied {
+		if tieVal[id] != logic.X {
 			continue
 		}
-		nodes = append(nodes, n)
+		nodes = append(nodes, netlist.NodeID(id))
 	}
 
 	out := make([][2]injOut, len(nodes))
@@ -72,16 +75,9 @@ func CombinationalParallel(c *netlist.Circuit, db *imply.DB, ties map[netlist.No
 				continue
 			}
 			for _, m := range p.touched {
-				if m == n {
-					continue
+				if m != n && (c.IsSeq(n) || c.IsSeq(m)) {
+					o.imps = append(o.imps, imply.Lit{Node: m, Val: p.values[m]})
 				}
-				if _, tied := ties[m]; tied {
-					continue
-				}
-				if !c.IsSeq(n) && !c.IsSeq(m) {
-					continue
-				}
-				o.imps = append(o.imps, imply.Lit{Node: m, Val: p.values[m]})
 			}
 		}
 	}
@@ -90,19 +86,22 @@ func CombinationalParallel(c *netlist.Circuit, db *imply.DB, ties map[netlist.No
 	if workers > len(nodes) {
 		workers = len(nodes)
 	}
-	if workers <= 1 {
-		p := newCombProp(c, ties)
+	// Each worker settles the ties once into its own base frame.
+	props := make([]*combProp, max(workers, 1))
+	if len(props) == 1 {
+		props[0] = newCombProp(c, tieVal)
 		for i := range nodes {
-			sweep(p, i)
+			sweep(props[0], i)
 		}
 	} else {
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		wg.Add(workers)
-		for w := 0; w < workers; w++ {
+		for w := range props {
 			go func() {
 				defer wg.Done()
-				p := newCombProp(c, ties)
+				p := newCombProp(c, tieVal)
+				props[w] = p
 				for {
 					i := int(next.Add(1)) - 1
 					if i >= len(nodes) {
@@ -114,8 +113,12 @@ func CombinationalParallel(c *netlist.Circuit, db *imply.DB, ties map[netlist.No
 		}
 		wg.Wait()
 	}
+	baseImps := props[0].baseImps
 
-	// Deterministic merge in canonical order.
+	// Deterministic merge in canonical order. Every injection also implies
+	// the non-tie nodes the ties alone settle (baseImps): they sit in its
+	// frame, as they did when each injection re-propagated the ties, and
+	// learn_digests.txt records them.
 	var newTies []Tie
 	for i, n := range nodes {
 		for vi, v := range []logic.V{logic.Zero, logic.One} {
@@ -125,6 +128,11 @@ func CombinationalParallel(c *netlist.Circuit, db *imply.DB, ties map[netlist.No
 				continue
 			}
 			src := imply.Lit{Node: n, Val: v}
+			for _, lit := range baseImps {
+				if lit.Node != n && (c.IsSeq(n) || c.IsSeq(lit.Node)) {
+					db.Add(src, lit, 0, true, 0)
+				}
+			}
 			for _, lit := range o.imps {
 				db.Add(src, lit, 0, true, 0)
 			}
@@ -134,44 +142,63 @@ func CombinationalParallel(c *netlist.Circuit, db *imply.DB, ties map[netlist.No
 	return newTies
 }
 
-// combProp is a single-frame forward+backward implication engine.
+// combProp is a single-frame forward+backward implication engine. It
+// settles the tie constants once into a base frame; each run then injects
+// one literal on top of that frame and undoes only what the injection
+// touched. Forward evaluation and unique justification are monotone, so
+// the fixpoint reached from the settled base equals the one reached by
+// re-propagating every tie together with the injection.
 type combProp struct {
-	c        *netlist.Circuit
-	ties     map[netlist.NodeID]logic.V
-	values   []logic.V
-	touched  []netlist.NodeID
-	queue    []netlist.NodeID
-	inQueue  []bool
-	conflict bool
+	c       *netlist.Circuit
+	values  []logic.V
+	touched []netlist.NodeID // nodes the current injection assigned
+	queue   []netlist.NodeID
+	inQueue []bool
+	// baseImps lists the non-tie nodes the ties alone imply, with their
+	// values; baseConflict records that the ties contradict each other, so
+	// every injection fails.
+	baseImps     []imply.Lit
+	baseConflict bool
+	conflict     bool
 }
 
-func newCombProp(c *netlist.Circuit, ties map[netlist.NodeID]logic.V) *combProp {
-	return &combProp{
+// newCombProp settles the ties (tieVal[n] != X) into the base frame.
+func newCombProp(c *netlist.Circuit, tieVal []logic.V) *combProp {
+	p := &combProp{
 		c:       c,
-		ties:    ties,
 		values:  make([]logic.V, c.NumNodes()),
 		inQueue: make([]bool, c.NumNodes()),
 	}
+	for n, v := range tieVal {
+		p.assign(netlist.NodeID(n), v)
+	}
+	p.settle()
+	p.baseConflict = p.conflict
+	for _, m := range p.touched {
+		if tieVal[m] == logic.X {
+			p.baseImps = append(p.baseImps, imply.Lit{Node: m, Val: p.values[m]})
+		}
+	}
+	p.touched = p.touched[:0]
+	return p
 }
 
-// run injects n=v into a clean frame and propagates to a fixpoint; it
-// reports false on conflict.
+// run injects n=v into the settled base frame and propagates to a
+// fixpoint; it reports false on conflict. The previous injection's
+// assignments and any queue entries its conflict left are undone first.
 func (p *combProp) run(n netlist.NodeID, v logic.V) bool {
 	for _, m := range p.touched {
 		p.values[m] = logic.X
 	}
 	p.touched = p.touched[:0]
+	for _, m := range p.queue {
+		p.inQueue[m] = false
+	}
 	p.queue = p.queue[:0]
-	for i := range p.inQueue {
-		if p.inQueue[i] {
-			p.inQueue[i] = false
-		}
+	if p.baseConflict {
+		return false
 	}
 	p.conflict = false
-
-	for tn, tv := range p.ties {
-		p.assign(tn, tv)
-	}
 	p.assign(n, v)
 	p.settle()
 	return !p.conflict

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/imply"
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -59,6 +60,124 @@ func TestCombinationalParallelDeterminism(t *testing.T) {
 					w, len(got), len(base))
 			}
 		}
+	}
+}
+
+// combReference is the sweep combProp replaced, kept as an oracle: every
+// injection starts from an empty frame and re-propagates all the ties
+// together with the injected literal. It shares combProp's propagation
+// rules but not its settled base frame.
+func combReference(c *netlist.Circuit, db *imply.DB, ties map[netlist.NodeID]logic.V) []Tie {
+	p := newCombProp(c, make([]logic.V, c.NumNodes()))
+	var newTies []Tie
+	for id := range c.Nodes {
+		n := netlist.NodeID(id)
+		if _, tied := ties[n]; tied || c.Nodes[id].Kind == netlist.KindPI {
+			continue
+		}
+		for _, v := range []logic.V{logic.Zero, logic.One} {
+			for _, m := range p.touched {
+				p.values[m] = logic.X
+			}
+			p.touched = p.touched[:0]
+			clear(p.inQueue)
+			p.queue = p.queue[:0]
+			p.conflict = false
+			for tn, tv := range ties {
+				p.assign(tn, tv)
+			}
+			p.assign(n, v)
+			p.settle()
+			if p.conflict {
+				newTies = append(newTies, Tie{Node: n, Val: v.Not(), Frame: 0})
+				continue
+			}
+			for _, m := range p.touched {
+				if _, tied := ties[m]; tied || m == n || (!c.IsSeq(n) && !c.IsSeq(m)) {
+					continue
+				}
+				db.Add(imply.Lit{Node: n, Val: v}, imply.Lit{Node: m, Val: p.values[m]}, 0, true, 0)
+			}
+		}
+	}
+	return newTies
+}
+
+// TestCombinationalMatchesReference: settling the ties once per worker
+// yields the database and tie list of re-propagating them per injection,
+// on random circuits with random tie sets (some contradictory), on a
+// deliberately contradictory set and on suite circuits with the comb ties
+// the learner feeds the pass.
+func TestCombinationalMatchesReference(t *testing.T) {
+	type tcase struct {
+		name string
+		c    *netlist.Circuit
+		ties map[netlist.NodeID]logic.V
+	}
+	var cases []tcase
+	for seed := uint64(1); seed <= 12; seed++ {
+		c := randCircuit(seed, 5, 60, 8)
+		r := logic.NewRand64(seed * 7919)
+		ties := map[netlist.NodeID]logic.V{}
+		for _, tie := range Learn(c, Options{SkipComb: true}).CombTies {
+			if r.Intn(2) == 0 {
+				ties[tie.Node] = tie.Val
+			}
+		}
+		for k := r.Intn(4); k > 0; k-- {
+			n := netlist.NodeID(r.Intn(c.NumNodes()))
+			ties[n] = logic.Zero + logic.V(r.Intn(2))
+		}
+		cases = append(cases, tcase{fmt.Sprintf("rand%d", seed), c, ties})
+	}
+	cc := combCircuit(t)
+	// nand=0 forces q1=1: the ties contradict each other.
+	cases = append(cases, tcase{"contradictory", cc, map[netlist.NodeID]logic.V{
+		cc.MustLookup("nand"): logic.Zero, cc.MustLookup("q1"): logic.Zero,
+	}})
+	for _, name := range []string{"s382", "s953"} {
+		c := gen.MustBuild(name)
+		ties := map[netlist.NodeID]logic.V{}
+		for _, tie := range Learn(c, Options{SkipComb: true}).CombTies {
+			ties[tie.Node] = tie.Val
+		}
+		cases = append(cases, tcase{name, c, ties})
+	}
+
+	dump := func(c *netlist.Circuit, db *imply.DB, ties []Tie) string {
+		var sb strings.Builder
+		if err := db.Freeze().Serialize(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, tie := range ties {
+			fmt.Fprintf(&sb, "tie %s=%s\n", c.NameOf(tie.Node), tie.Val)
+		}
+		return sb.String()
+	}
+	conflicts, withBase := 0, 0
+	for _, tc := range cases {
+		tieVal := make([]logic.V, tc.c.NumNodes())
+		for n, v := range tc.ties {
+			tieVal[n] = v
+		}
+		if base := newCombProp(tc.c, tieVal); base.baseConflict {
+			conflicts++
+		} else if len(base.baseImps) > 0 {
+			withBase++
+		}
+		refDB := imply.NewDB(tc.c)
+		want := dump(tc.c, refDB, combReference(tc.c, refDB, tc.ties))
+		for _, w := range []int{1, 3} {
+			db := imply.NewDB(tc.c)
+			if got := dump(tc.c, db, CombinationalParallel(tc.c, db, tc.ties, w)); got != want {
+				t.Errorf("%s workers=%d: sweep differs from the reference (%d vs %d bytes)",
+					tc.name, w, len(got), len(want))
+			}
+		}
+	}
+	if conflicts == 0 || withBase == 0 {
+		t.Fatalf("cases reach %d contradictory tie sets and %d with tie-implied nodes; want both > 0",
+			conflicts, withBase)
 	}
 }
 

@@ -105,8 +105,9 @@ type Options struct {
 
 	// Span, when non-nil, receives one child span per learning phase
 	// (single_node, equiv, multi_node, comb_learn) with stem/target/sim
-	// counts as attributes. An observation knob like Parallelism: excluded
-	// from store fingerprints, no effect on results.
+	// counts as attributes, plus a freeze span for the final DB.Freeze.
+	// An observation knob like Parallelism: excluded from store
+	// fingerprints, no effect on results.
 	Span *obs.Span
 
 	// Equiv tunes equivalence identification.
@@ -676,7 +677,9 @@ func (l *learner) multiNode(cls int32, records map[imply.Lit][]record) {
 
 // finish sorts the tie lists and freezes the relation database.
 func (l *learner) finish() {
+	sp := l.opt.Span.Start("freeze")
 	l.res.DB = l.db.Freeze()
+	sp.End()
 	for n, v := range l.res.Ties {
 		tie := Tie{Node: n, Val: v, Frame: l.tieFrame[n]}
 		if tie.Frame == 0 {
