@@ -86,6 +86,12 @@ type Result struct {
 // Find identifies verified equivalence classes among combinational gates.
 func Find(c *netlist.Circuit, ties map[netlist.NodeID]logic.V, opt Options) *Result {
 	opt.defaults()
+	return findWith(c, ties, opt, newVerifier(c, ties, opt.MaxSupport).equal)
+}
+
+// findWith is Find with defaulted options and the exact check that verifies
+// each candidate member against its representative.
+func findWith(c *netlist.Circuit, ties map[netlist.NodeID]logic.V, opt Options, equal func(a, b netlist.NodeID, inv bool) bool) *Result {
 	ps := sim.NewPatternSim(c)
 	r := logic.NewRand64(opt.Seed)
 
@@ -156,7 +162,6 @@ func Find(c *netlist.Circuit, ties map[netlist.NodeID]logic.V, opt Options) *Res
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 
-	verifier := newVerifier(c, ties, opt.MaxSupport)
 	seen := make(map[netlist.NodeID]bool)
 	for _, k := range keys {
 		cand := groups[k]
@@ -173,7 +178,7 @@ func Find(c *netlist.Circuit, ties map[netlist.NodeID]logic.V, opt Options) *Res
 			if seen[m] {
 				continue
 			}
-			if verifier.equal(rep, m, false) {
+			if equal(rep, m, false) {
 				cls.Members = append(cls.Members, Member{Node: m})
 				seen[m] = true
 			}
@@ -182,7 +187,7 @@ func Find(c *netlist.Circuit, ties map[netlist.NodeID]logic.V, opt Options) *Res
 			if seen[m] || m == rep {
 				continue
 			}
-			if verifier.equal(rep, m, true) {
+			if equal(rep, m, true) {
 				cls.Members = append(cls.Members, Member{Node: m, Inv: true})
 				seen[m] = true
 			}
@@ -200,88 +205,123 @@ func Find(c *netlist.Circuit, ties map[netlist.NodeID]logic.V, opt Options) *Res
 	return res
 }
 
-// verifier performs exact cone-based equivalence checks.
+// verifier performs exact cone-based equivalence checks. Its per-node
+// arrays are sized once per Find; visit marks are stamped with a per-check
+// epoch, so a check touches only the cone it walks.
 type verifier struct {
 	c          *netlist.Circuit
-	ties       map[netlist.NodeID]logic.V
 	maxSupport int
 
-	words map[netlist.NodeID]uint64
+	tie   []uint8  // per node: untied, tiedZero or tiedOne
+	words []uint64 // per node: the node's word in the current block
+	mark  []uint32 // per node: the epoch of the last cone that visited it
+	epoch uint32
+
+	// The current cone: its pseudo-input support, its gates in
+	// topological order, and the tied nodes it reaches.
+	support, gates, tied []netlist.NodeID
 }
+
+const (
+	untied uint8 = iota
+	tiedZero
+	tiedOne
+)
 
 func newVerifier(c *netlist.Circuit, ties map[netlist.NodeID]logic.V, maxSupport int) *verifier {
-	return &verifier{c: c, ties: ties, maxSupport: maxSupport, words: map[netlist.NodeID]uint64{}}
+	v := &verifier{
+		c:          c,
+		maxSupport: maxSupport,
+		tie:        make([]uint8, c.NumNodes()),
+		words:      make([]uint64, c.NumNodes()),
+		mark:       make([]uint32, c.NumNodes()),
+	}
+	for n, tv := range ties {
+		v.tie[n] = tiedZero
+		if tv == logic.One {
+			v.tie[n] = tiedOne
+		}
+	}
+	return v
 }
 
-// cone returns the pseudo-input support and a topologically ordered gate
-// list for the union cone of a and b; ok is false if the support exceeds
-// the bound.
-func (v *verifier) cone(a, b netlist.NodeID) (support, order []netlist.NodeID, ok bool) {
-	visited := map[netlist.NodeID]bool{}
-	var gates []netlist.NodeID
-	var walk func(n netlist.NodeID) bool
-	walk = func(n netlist.NodeID) bool {
-		if visited[n] {
-			return true
-		}
-		visited[n] = true
-		if _, tied := v.ties[n]; tied {
-			return true // constant: not part of the support
-		}
-		nd := &v.c.Nodes[n]
-		if nd.Kind != netlist.KindGate {
-			support = append(support, n)
-			if len(support) > v.maxSupport {
-				return false
-			}
-			return true
-		}
-		for _, p := range v.c.Fanin(n) {
-			if !walk(p.Node) {
-				return false
-			}
-		}
-		gates = append(gates, n)
+// cone collects the pseudo-input support, the topologically ordered gates
+// and the tied nodes of the union cone of a and b; it reports false if the
+// support exceeds the bound.
+func (v *verifier) cone(a, b netlist.NodeID) bool {
+	v.epoch++
+	if v.epoch == 0 {
+		clear(v.mark)
+		v.epoch = 1
+	}
+	v.support, v.gates, v.tied = v.support[:0], v.gates[:0], v.tied[:0]
+	return v.walk(a) && v.walk(b)
+}
+
+// walk visits n's cone in post order, so gates come out topologically
+// ordered.
+func (v *verifier) walk(n netlist.NodeID) bool {
+	if v.mark[n] == v.epoch {
 		return true
 	}
-	if !walk(a) || !walk(b) {
-		return nil, nil, false
+	v.mark[n] = v.epoch
+	if v.tie[n] != untied {
+		v.tied = append(v.tied, n) // constant: not part of the support
+		return true
 	}
-	// gates is already topologically ordered by the post-order walk.
-	return support, gates, true
+	if v.c.Nodes[n].Kind != netlist.KindGate {
+		v.support = append(v.support, n)
+		return len(v.support) <= v.maxSupport
+	}
+	for _, p := range v.c.Fanin(n) {
+		if !v.walk(p.Node) {
+			return false
+		}
+	}
+	v.gates = append(v.gates, n)
+	return true
+}
+
+// laneBits[i] holds bit i of the lane index in every lane: the word of
+// support input i in any block of 64 assignments, for i below 6.
+var laneBits = [6]uint64{
+	0xaaaaaaaaaaaaaaaa,
+	0xcccccccccccccccc,
+	0xf0f0f0f0f0f0f0f0,
+	0xff00ff00ff00ff00,
+	0xffff0000ffff0000,
+	0xffffffff00000000,
 }
 
 // equal exhaustively checks a == b (or a == ¬b when inv) over the cone's
 // support. It returns false when the support is too large to verify.
 func (v *verifier) equal(a, b netlist.NodeID, inv bool) bool {
-	support, order, ok := v.cone(a, b)
-	if !ok {
+	if !v.cone(a, b) {
 		return false
 	}
-	n := len(support)
-	total := uint64(1) << uint(n)
-	for base := uint64(0); base < total; base += logic.W {
-		clear(v.words)
-		// Lane l of this block carries assignment number base+l.
-		for bit, in := range support {
-			var w uint64
-			for l := uint64(0); l < logic.W && base+l < total; l++ {
-				if (base+l)>>uint(bit)&1 == 1 {
-					w |= 1 << l
-				}
-			}
-			v.words[in] = w
+	for _, t := range v.tied {
+		v.words[t] = 0
+		if v.tie[t] == tiedOne {
+			v.words[t] = ^uint64(0)
 		}
-		for tn, tv := range v.ties {
-			if tv == logic.One {
-				v.words[tn] = ^uint64(0)
-			} else {
-				v.words[tn] = 0
+	}
+	total := uint64(1) << uint(len(v.support))
+	for base := uint64(0); base < total; base += logic.W {
+		// Lane l of this block carries assignment number base+l; base is
+		// a multiple of 64, so the support's low six bits follow the lane
+		// index and the others are constant across the block.
+		for bit, in := range v.support {
+			switch {
+			case bit < len(laneBits):
+				v.words[in] = laneBits[bit]
+			case base>>uint(bit)&1 == 1:
+				v.words[in] = ^uint64(0)
+			default:
+				v.words[in] = 0
 			}
 		}
 		var buf [16]uint64
-		for _, id := range order {
-			nd := &v.c.Nodes[id]
+		for _, id := range v.gates {
 			fanin := v.c.Fanin(id)
 			vals := buf[:0]
 			if cap(vals) < len(fanin) {
@@ -294,7 +334,7 @@ func (v *verifier) equal(a, b netlist.NodeID, inv bool) bool {
 				}
 				vals = append(vals, w)
 			}
-			v.words[id] = logic.BEvalSlice(nd.Op, vals)
+			v.words[id] = logic.BEvalSlice(v.c.Nodes[id].Op, vals)
 		}
 		wa, wb := v.words[a], v.words[b]
 		if inv {

@@ -12,9 +12,12 @@
 //
 // The package splits the database into a mutable builder (DB), which the
 // learner populates, and a frozen, immutable view (Snapshot, produced by
-// DB.Freeze), which every consumer reads. The snapshot stores sorted
-// slices plus a dense same-frame index — no maps on the read path — and is
-// safe for any number of concurrent readers without locks.
+// DB.Freeze), which every consumer reads. The builder is an append-only
+// log of canonical relations; Freeze sorts it with a radix sort and merges
+// repeats, the same sort-and-merge LoadSnapshot applies to serialized
+// lines. The snapshot stores sorted slices plus a dense same-frame index —
+// no maps on either path — and is safe for any number of concurrent
+// readers without locks.
 package imply
 
 import (
@@ -109,27 +112,25 @@ func relCmp(a, b Relation) int {
 	return litCmp(a.B, b.B)
 }
 
-// DB is a deduplicating store of learned relations for one circuit: the
-// mutable, write-only *builder* half of the implication database. Learning
-// (Add) writes here; every reader — ATPG, FIRES, the harness, the tests —
-// consumes the frozen, immutable Snapshot produced by Freeze (or read back
-// by LoadSnapshot). Every relation carries a flag recording whether it is
-// derivable in the combinational logic alone (frame 0, no crossing of
-// sequential elements); the paper's Table 3 reports only the relations
-// that are *not* (what only sequential learning can extract), and the
-// ATPG's no-sequential-learning baseline uses only the ones that are. A DB
-// is not safe for concurrent use.
+// DB is the mutable, write-only *builder* half of the implication
+// database for one circuit. Learning (Add) appends canonical relations to
+// a log; Freeze sorts the log, merges repeats of one relation (the comb
+// flag OR-ed, the minimum depth kept) and produces the immutable Snapshot
+// every reader — ATPG, FIRES, the harness, the tests — consumes (the same
+// sort-and-merge LoadSnapshot applies to serialized lines). Every relation
+// carries a flag recording whether it is derivable in the combinational
+// logic alone (frame 0, no crossing of sequential elements); the paper's
+// Table 3 reports only the relations that are *not* (what only sequential
+// learning can extract), and the ATPG's no-sequential-learning baseline
+// uses only the ones that are. A DB is not safe for concurrent use.
 type DB struct {
 	c   *netlist.Circuit
-	set map[Relation]relMeta
+	log relLog // canonical relations, merged up to the last Freeze
 }
 
 // NewDB returns an empty relation database for c.
 func NewDB(c *netlist.Circuit) *DB {
-	return &DB{
-		c:   c,
-		set: make(map[Relation]relMeta),
-	}
+	return &DB{c: c}
 }
 
 // relMeta carries per-relation bookkeeping: whether the relation is
@@ -141,12 +142,13 @@ type relMeta struct {
 	depth int16
 }
 
-// Add inserts the relation a ⟹ b with displacement dt; comb marks it as
+// Add records the relation a ⟹ b with displacement dt; comb marks it as
 // derivable in the combinational frame, depth the frames of history its
-// derivation used. It reports whether the relation was new. Re-adding an
-// existing relation upgrades the comb flag and keeps the minimum depth.
-// Trivial (a==b) and contradictory (a==¬b, which is a tie, not a relation)
-// inputs are rejected, as are unknown-valued literals.
+// derivation used. It reports whether the relation was accepted. Repeats
+// of a relation, in either contrapositive form, merge at Freeze: the comb
+// flag is OR-ed and the minimum depth kept. Trivial (a==b) and
+// contradictory (a==¬b, which is a tie, not a relation) inputs are
+// rejected, as are unknown-valued literals.
 func (db *DB) Add(a, b Lit, dt int, comb bool, depth int) bool {
 	if !a.Val.Known() || !b.Val.Known() {
 		return false
@@ -154,20 +156,9 @@ func (db *DB) Add(a, b Lit, dt int, comb bool, depth int) bool {
 	if a.Node == b.Node && dt == 0 {
 		return false
 	}
-	r := Relation{A: a, B: b, Dt: int16(dt)}.canonical()
-	if was, dup := db.set[r]; dup {
-		m := was
-		if comb {
-			m.comb = true
-		}
-		if int16(depth) < m.depth {
-			m.depth = int16(depth)
-		}
-		if m != was {
-			db.set[r] = m
-		}
-		return false
-	}
-	db.set[r] = relMeta{comb: comb, depth: int16(depth)}
+	db.log.add(relEntry{
+		r: Relation{A: a, B: b, Dt: int16(dt)}.canonical(),
+		m: relMeta{comb: comb, depth: int16(depth)},
+	})
 	return true
 }

@@ -32,19 +32,17 @@ func TestAddAndContrapositiveDedup(t *testing.T) {
 	db := NewDB(c)
 	a := lit(c, "f1", logic.One)
 	b := lit(c, "f2", logic.Zero)
-	if !db.Add(a, b, 0, false, 0) {
-		t.Fatal("first Add must succeed")
-	}
-	if db.Add(a, b, 0, false, 0) {
-		t.Fatal("duplicate Add must fail")
-	}
+	db.Add(a, b, 0, false, 3)
+	db.Add(a, b, 0, false, 1)
 	// The contrapositive is the same fact.
-	if db.Add(b.Not(), a.Not(), 0, false, 0) {
-		t.Fatal("contrapositive Add must be a duplicate")
-	}
+	db.Add(b.Not(), a.Not(), 0, true, 2)
 	s := db.Freeze()
 	if s.Len() != 1 {
-		t.Fatalf("Len = %d", s.Len())
+		t.Fatalf("Len = %d: a repeat and a contrapositive must merge into one relation", s.Len())
+	}
+	if !s.IsCombinational(a, b, 0) || s.DepthOf(a, b, 0) != 1 {
+		t.Fatalf("merged relation: comb=%v depth=%d, want comb OR-ed and the minimum depth 1",
+			s.IsCombinational(a, b, 0), s.DepthOf(a, b, 0))
 	}
 	if !s.Has(a, b, 0) || !s.Has(b.Not(), a.Not(), 0) {
 		t.Fatal("Has must see both forms")
@@ -57,13 +55,12 @@ func TestCrossFrameCanonicalization(t *testing.T) {
 	a := lit(c, "g1", logic.One)
 	b := lit(c, "f1", logic.One)
 	// g1=1@t ⟹ f1=1@t+1; contrapositive f1=0@t ⟹ g1=0@t-1.
-	if !db.Add(a, b, 1, false, 0) {
-		t.Fatal("Add failed")
-	}
-	if db.Add(b.Not(), a.Not(), -1, false, 0) {
-		t.Fatal("contrapositive with negative dt must dedup")
-	}
+	db.Add(a, b, 1, false, 0)
+	db.Add(b.Not(), a.Not(), -1, false, 0)
 	s := db.Freeze()
+	if s.Len() != 1 {
+		t.Fatalf("Len = %d: contrapositive with negative dt must dedup", s.Len())
+	}
 	if !s.Has(a, b, 1) || !s.Has(b.Not(), a.Not(), -1) {
 		t.Fatal("Has broken for cross-frame")
 	}
@@ -250,10 +247,12 @@ func TestCombinationalFlag(t *testing.T) {
 	}
 	// Upgrading: re-adding a->b with comb=true flips the flag, also via
 	// the contrapositive form.
-	if db.Add(b.Not(), a.Not(), 0, true, 0) {
-		t.Error("re-add must not report new")
+	db.Add(b.Not(), a.Not(), 0, true, 0)
+	up := db.Freeze()
+	if up.Len() != 2 {
+		t.Errorf("Len = %d after a re-add, want 2", up.Len())
 	}
-	if !db.Freeze().IsCombinational(a, b, 0) {
+	if !up.IsCombinational(a, b, 0) {
 		t.Error("flag not upgraded")
 	}
 	if s.IsCombinational(a, b, 0) {

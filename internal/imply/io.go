@@ -2,9 +2,9 @@ package imply
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 
 	"repro/internal/logic"
@@ -27,14 +27,15 @@ import (
 func LoadSnapshot(c *netlist.Circuit, r io.Reader) (*Snapshot, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	var es []relEntry
+	var log relLog
 	var f [7][]byte
+	p := entryParser{c: c}
 	for lineNo := 1; sc.Scan(); lineNo++ {
 		nf := splitFields(sc.Bytes(), &f)
 		if nf == 0 || f[0][0] == '#' {
 			continue
 		}
-		e, err := parseEntry(c, &f, nf)
+		e, err := p.parse(&f, nf)
 		if err != nil {
 			return nil, fmt.Errorf("imply: line %d: %v", lineNo, err)
 		}
@@ -42,24 +43,13 @@ func LoadSnapshot(c *netlist.Circuit, r io.Reader) (*Snapshot, error) {
 			continue // trivial or a tie, as DB.Add rejects it
 		}
 		e.r = e.r.canonical()
-		es = append(es, e)
+		log.add(e)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 
-	// Serialize's output is already in order, on which pdqsort is linear.
-	slices.SortFunc(es, entryCmp)
-	out := es[:0]
-	for _, e := range es {
-		if k := len(out) - 1; k >= 0 && out[k].r == e.r {
-			out[k].m.comb = out[k].m.comb || e.m.comb
-			out[k].m.depth = min(out[k].m.depth, e.m.depth)
-			continue
-		}
-		out = append(out, e)
-	}
-	return newSnapshot(c, out), nil
+	return newSnapshot(c, log.merged()), nil
 }
 
 // splitFields splits line at ASCII white space into f and returns the
@@ -89,16 +79,28 @@ func isSpace(b byte) bool {
 	return b == ' ' || b == '\t' || b == '\r' || b == '\v' || b == '\f'
 }
 
-// parseEntry decodes the seven fields of one relation line.
-func parseEntry(c *netlist.Circuit, f *[7][]byte, nf int) (relEntry, error) {
+// entryParser decodes relation lines against one circuit. It remembers
+// the previous line's antecedent: Serialize writes relations sorted by
+// (dt, A, B), so consecutive lines mostly share it, and equal name bytes
+// skip the name lookup.
+type entryParser struct {
+	c     *netlist.Circuit
+	aName []byte // the previous antecedent's name, nil before the first
+	aNode netlist.NodeID
+}
+
+// parse decodes the seven fields of one relation line.
+func (p *entryParser) parse(f *[7][]byte, nf int) (relEntry, error) {
 	if nf != len(f) {
 		return relEntry{}, fmt.Errorf("want %d fields, got %d", len(f), nf)
 	}
-	a, err := parseLit(c, f[0], f[1])
+	an, ok := p.antecedent(f[0])
+	a, err := parseLit(an, ok, f[0], f[1])
 	if err != nil {
 		return relEntry{}, err
 	}
-	b, err := parseLit(c, f[2], f[3])
+	bn, ok := p.c.Lookup(string(f[2]))
+	b, err := parseLit(bn, ok, f[2], f[3])
 	if err != nil {
 		return relEntry{}, err
 	}
@@ -121,9 +123,23 @@ func parseEntry(c *netlist.Circuit, f *[7][]byte, nf int) (relEntry, error) {
 	return relEntry{r: Relation{A: a, B: b, Dt: dt}, m: relMeta{comb: comb, depth: depth}}, nil
 }
 
-func parseLit(c *netlist.Circuit, name, val []byte) (Lit, error) {
-	n, ok := c.Lookup(string(name))
-	if !ok {
+// antecedent resolves an antecedent's node name, reusing the previous
+// line's node when the name bytes are equal.
+func (p *entryParser) antecedent(name []byte) (netlist.NodeID, bool) {
+	if p.aName == nil || !bytes.Equal(name, p.aName) {
+		n, ok := p.c.Lookup(string(name))
+		if !ok {
+			return 0, false
+		}
+		p.aName, p.aNode = append(p.aName[:0], name...), n
+	}
+	return p.aNode, true
+}
+
+// parseLit builds the literal of a resolved node (found is false for an
+// unknown name) and its value field.
+func parseLit(n netlist.NodeID, found bool, name, val []byte) (Lit, error) {
+	if !found {
 		return Lit{}, fmt.Errorf("unknown node %q", name)
 	}
 	switch string(val) {

@@ -27,25 +27,12 @@ type Snapshot struct {
 	sfDst []Lit
 }
 
-// relEntry pairs a canonical relation with its metadata: the unit Freeze
-// and LoadSnapshot sort into a Snapshot.
-type relEntry struct {
-	r Relation
-	m relMeta
-}
-
-func entryCmp(a, b relEntry) int { return relCmp(a.r, b.r) }
-
 // Freeze produces an immutable snapshot of the database's current
-// contents. The builder remains usable; later Adds do not affect the
-// returned snapshot.
+// contents: it sorts the builder's log and merges its repeats, so the log
+// keeps one entry per relation. The builder remains usable; later Adds do
+// not affect the returned snapshot.
 func (db *DB) Freeze() *Snapshot {
-	es := make([]relEntry, 0, len(db.set))
-	for r, m := range db.set {
-		es = append(es, relEntry{r: r, m: m})
-	}
-	slices.SortFunc(es, entryCmp)
-	return newSnapshot(db.c, es)
+	return newSnapshot(db.c, db.log.merged())
 }
 
 // newSnapshot builds a snapshot from distinct canonical entries in relCmp
