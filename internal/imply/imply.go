@@ -156,9 +156,7 @@ func (db *DB) Add(a, b Lit, dt int, comb bool, depth int) bool {
 	if a.Node == b.Node && dt == 0 {
 		return false
 	}
-	db.log.add(relEntry{
-		r: Relation{A: a, B: b, Dt: int16(dt)}.canonical(),
-		m: relMeta{comb: comb, depth: int16(depth)},
-	})
+	r := Relation{A: a, B: b, Dt: int16(dt)}.canonical()
+	db.log.add(newEntry(r, relMeta{comb: comb, depth: int16(depth)}))
 	return true
 }

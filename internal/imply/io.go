@@ -35,15 +35,14 @@ func LoadSnapshot(c *netlist.Circuit, r io.Reader) (*Snapshot, error) {
 		if nf == 0 || f[0][0] == '#' {
 			continue
 		}
-		e, err := p.parse(&f, nf)
+		r, m, err := p.parse(&f, nf)
 		if err != nil {
 			return nil, fmt.Errorf("imply: line %d: %v", lineNo, err)
 		}
-		if e.r.A.Node == e.r.B.Node && e.r.Dt == 0 {
+		if r.A.Node == r.B.Node && r.Dt == 0 {
 			continue // trivial or a tie, as DB.Add rejects it
 		}
-		e.r = e.r.canonical()
-		log.add(e)
+		log.add(newEntry(r.canonical(), m))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -90,23 +89,23 @@ type entryParser struct {
 }
 
 // parse decodes the seven fields of one relation line.
-func (p *entryParser) parse(f *[7][]byte, nf int) (relEntry, error) {
+func (p *entryParser) parse(f *[7][]byte, nf int) (Relation, relMeta, error) {
 	if nf != len(f) {
-		return relEntry{}, fmt.Errorf("want %d fields, got %d", len(f), nf)
+		return Relation{}, relMeta{}, fmt.Errorf("want %d fields, got %d", len(f), nf)
 	}
 	an, ok := p.antecedent(f[0])
 	a, err := parseLit(an, ok, f[0], f[1])
 	if err != nil {
-		return relEntry{}, err
+		return Relation{}, relMeta{}, err
 	}
 	bn, ok := p.c.Lookup(string(f[2]))
 	b, err := parseLit(bn, ok, f[2], f[3])
 	if err != nil {
-		return relEntry{}, err
+		return Relation{}, relMeta{}, err
 	}
 	dt, err := parseInt16(f[4])
 	if err != nil {
-		return relEntry{}, fmt.Errorf("dt: %v", err)
+		return Relation{}, relMeta{}, fmt.Errorf("dt: %v", err)
 	}
 	var comb bool
 	switch string(f[5]) {
@@ -114,13 +113,13 @@ func (p *entryParser) parse(f *[7][]byte, nf int) (relEntry, error) {
 		comb = true
 	case "false":
 	default:
-		return relEntry{}, fmt.Errorf("bad comb flag %q", f[5])
+		return Relation{}, relMeta{}, fmt.Errorf("bad comb flag %q", f[5])
 	}
 	depth, err := parseInt16(f[6])
 	if err != nil {
-		return relEntry{}, fmt.Errorf("depth: %v", err)
+		return Relation{}, relMeta{}, fmt.Errorf("depth: %v", err)
 	}
-	return relEntry{r: Relation{A: a, B: b, Dt: dt}, m: relMeta{comb: comb, depth: depth}}, nil
+	return Relation{A: a, B: b, Dt: dt}, relMeta{comb: comb, depth: depth}, nil
 }
 
 // antecedent resolves an antecedent's node name, reusing the previous

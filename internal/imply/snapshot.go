@@ -39,8 +39,8 @@ func (db *DB) Freeze() *Snapshot {
 // order.
 func newSnapshot(c *netlist.Circuit, es []relEntry) *Snapshot {
 	s := &Snapshot{c: c, rels: make([]Relation, len(es)), meta: make([]relMeta, len(es))}
-	for i, e := range es {
-		s.rels[i], s.meta[i] = e.r, e.m
+	for i := range es {
+		s.rels[i], s.meta[i] = es[i].relation(), es[i].meta()
 	}
 
 	nk := 2 * c.NumNodes()

@@ -4,17 +4,58 @@ import (
 	"slices"
 
 	"repro/internal/logic"
+	"repro/internal/netlist"
 )
 
-// relEntry pairs a canonical relation with its metadata: the unit the
-// builder logs and LoadSnapshot parses, and that sortMerge orders and
-// merges into a Snapshot's contents.
+// relEntry is one canonical relation with its metadata, packed into 16
+// bytes (a Relation and a relMeta take 24): the unit the builder logs and
+// LoadSnapshot parses, and that sortMerge orders and merges into a
+// Snapshot's contents.
 type relEntry struct {
-	r Relation
-	m relMeta
+	a, b  netlist.NodeID // the literals' nodes
+	dt    int16
+	depth int16
+	flags uint8 // aOne, bOne, comb
 }
 
-func entryCmp(a, b relEntry) int { return relCmp(a.r, b.r) }
+const (
+	aOne uint8 = 1 << iota // the antecedent's value is 1
+	bOne                   // the consequent's value is 1
+	combFlag
+)
+
+// newEntry packs a relation with known literal values and its metadata.
+func newEntry(r Relation, m relMeta) relEntry {
+	e := relEntry{a: r.A.Node, b: r.B.Node, dt: r.Dt, depth: m.depth}
+	if r.A.Val == logic.One {
+		e.flags |= aOne
+	}
+	if r.B.Val == logic.One {
+		e.flags |= bOne
+	}
+	if m.comb {
+		e.flags |= combFlag
+	}
+	return e
+}
+
+func (e *relEntry) relation() Relation {
+	return Relation{
+		A:  Lit{Node: e.a, Val: logic.FromBool(e.flags&aOne != 0)},
+		B:  Lit{Node: e.b, Val: logic.FromBool(e.flags&bOne != 0)},
+		Dt: e.dt,
+	}
+}
+
+func (e *relEntry) meta() relMeta { return relMeta{comb: e.flags&combFlag != 0, depth: e.depth} }
+
+// sameRelation reports whether e and o hold the same relation, whatever
+// their metadata.
+func (e *relEntry) sameRelation(o *relEntry) bool {
+	return e.a == o.a && e.b == o.b && e.dt == o.dt && (e.flags^o.flags)&(aOne|bOne) == 0
+}
+
+func entryCmp(a, b relEntry) int { return relCmp(a.relation(), b.relation()) }
 
 // relLog is an append-only log of canonical entries: the builder's store
 // and LoadSnapshot's staging area. It grows in chunks whose size doubles
@@ -65,9 +106,9 @@ func sortMerge(es []relEntry) []relEntry {
 	}
 	out := es[:0]
 	for _, e := range es {
-		if k := len(out) - 1; k >= 0 && out[k].r == e.r {
-			out[k].m.comb = out[k].m.comb || e.m.comb
-			out[k].m.depth = min(out[k].m.depth, e.m.depth)
+		if k := len(out) - 1; k >= 0 && out[k].sameRelation(&e) {
+			out[k].flags |= e.flags & combFlag
+			out[k].depth = min(out[k].depth, e.depth)
 			continue
 		}
 		out = append(out, e)
@@ -75,22 +116,25 @@ func sortMerge(es []relEntry) []relEntry {
 	return out
 }
 
-// The radix key of a relation is (dtKey, A's litUKey, B's litUKey): each
+// The radix key of an entry is (dtKey, A's litUKey, B's litUKey): each
 // field an unsigned integer that orders like the signed field relCmp
 // compares, so the key's lexicographic order is relCmp's over the full
 // int16 and int32 ranges.
 
-// dtKey flips the sign bit of Dt.
-func dtKey(r *Relation) uint64 { return uint64(uint16(r.Dt) ^ 0x8000) }
+// dtKey flips the sign bit of the displacement.
+func dtKey(e *relEntry) uint64 { return uint64(uint16(e.dt) ^ 0x8000) }
 
 // litUKey is litKey widened to 33 bits and offset to be non-negative.
-func litUKey(l Lit) uint64 {
-	k := 2*int64(l.Node) + 1<<32
-	if l.Val == logic.One {
+func litUKey(n netlist.NodeID, one bool) uint64 {
+	k := 2*int64(n) + 1<<32
+	if one {
 		k++
 	}
 	return uint64(k)
 }
+
+func aKey(e *relEntry) uint64 { return litUKey(e.a, e.flags&aOne != 0) }
+func bKey(e *relEntry) uint64 { return litUKey(e.b, e.flags&bOne != 0) }
 
 // Byte digits of the key, least significant first: five of B's litUKey,
 // five of A's, two of dtKey.
@@ -99,15 +143,15 @@ const (
 	numDigits = 2*litDigits + 2
 )
 
-// keyDigit returns digit k of r's radix key.
-func keyDigit(r *Relation, k int) byte {
+// keyDigit returns digit k of e's radix key.
+func keyDigit(e *relEntry, k int) byte {
 	switch {
 	case k < litDigits:
-		return byte(litUKey(r.B) >> (8 * k))
+		return byte(bKey(e) >> (8 * k))
 	case k < 2*litDigits:
-		return byte(litUKey(r.A) >> (8 * (k - litDigits)))
+		return byte(aKey(e) >> (8 * (k - litDigits)))
 	default:
-		return byte(dtKey(r) >> (8 * (k - 2*litDigits)))
+		return byte(dtKey(e) >> (8 * (k - 2*litDigits)))
 	}
 }
 
@@ -116,8 +160,8 @@ func keyDigit(r *Relation, k int) byte {
 func radixSort(es []relEntry) {
 	var counts [numDigits][256]int
 	for i := range es {
-		r := &es[i].r
-		a, b, d := litUKey(r.A), litUKey(r.B), dtKey(r)
+		e := &es[i]
+		a, b, d := aKey(e), bKey(e), dtKey(e)
 		for k := 0; k < litDigits; k++ {
 			counts[k][byte(b>>(8*k))]++
 			counts[litDigits+k][byte(a>>(8*k))]++
@@ -129,7 +173,7 @@ func radixSort(es []relEntry) {
 	var buf []relEntry
 	src := es
 	for k := 0; k < numDigits; k++ {
-		if counts[k][keyDigit(&es[0].r, k)] == n {
+		if counts[k][keyDigit(&es[0], k)] == n {
 			continue // every key has this digit
 		}
 		if buf == nil {
@@ -148,23 +192,23 @@ func radixSort(es []relEntry) {
 		switch {
 		case k < litDigits:
 			sh := 8 * k
-			for _, e := range src {
-				d := byte(litUKey(e.r.B) >> sh)
-				dst[off[d]] = e
+			for i := range src {
+				d := byte(bKey(&src[i]) >> sh)
+				dst[off[d]] = src[i]
 				off[d]++
 			}
 		case k < 2*litDigits:
 			sh := 8 * (k - litDigits)
-			for _, e := range src {
-				d := byte(litUKey(e.r.A) >> sh)
-				dst[off[d]] = e
+			for i := range src {
+				d := byte(aKey(&src[i]) >> sh)
+				dst[off[d]] = src[i]
 				off[d]++
 			}
 		default:
 			sh := 8 * (k - 2*litDigits)
-			for _, e := range src {
-				d := byte(dtKey(&e.r) >> sh)
-				dst[off[d]] = e
+			for i := range src {
+				d := byte(dtKey(&src[i]) >> sh)
+				dst[off[d]] = src[i]
 				off[d]++
 			}
 		}

@@ -20,16 +20,16 @@ type refDB struct{ set map[Relation]relMeta }
 
 func newRefDB() *refDB { return &refDB{set: map[Relation]relMeta{}} }
 
-// add merges one canonical entry: the comb flag OR-ed, the minimum depth
-// kept.
-func (db *refDB) add(e relEntry) {
-	if was, dup := db.set[e.r]; dup {
-		was.comb = was.comb || e.m.comb
-		was.depth = min(was.depth, e.m.depth)
-		db.set[e.r] = was
+// add merges one canonical relation: the comb flag OR-ed, the minimum
+// depth kept.
+func (db *refDB) add(r Relation, m relMeta) {
+	if was, dup := db.set[r]; dup {
+		was.comb = was.comb || m.comb
+		was.depth = min(was.depth, m.depth)
+		db.set[r] = was
 		return
 	}
-	db.set[e.r] = e.m
+	db.set[r] = m
 }
 
 // addLits applies DB.Add's rejections, canonicalizes and merges.
@@ -37,13 +37,13 @@ func (db *refDB) addLits(a, b Lit, dt int, comb bool, depth int) {
 	if !a.Val.Known() || !b.Val.Known() || (a.Node == b.Node && dt == 0) {
 		return
 	}
-	db.add(relEntry{r: Relation{A: a, B: b, Dt: int16(dt)}.canonical(), m: relMeta{comb: comb, depth: int16(depth)}})
+	db.add(Relation{A: a, B: b, Dt: int16(dt)}.canonical(), relMeta{comb: comb, depth: int16(depth)})
 }
 
 func (db *refDB) entries() []relEntry {
 	es := make([]relEntry, 0, len(db.set))
 	for r, m := range db.set {
-		es = append(es, relEntry{r: r, m: m})
+		es = append(es, newEntry(r, m))
 	}
 	slices.SortFunc(es, entryCmp)
 	return es
@@ -93,10 +93,10 @@ func randEntries(rng *rand.Rand, n int) []relEntry {
 		if rng.IntN(2) == 1 {
 			r = r.contrapositive()
 		}
-		es[i] = relEntry{
-			r: r.canonical(),
-			m: relMeta{comb: rng.IntN(3) == 0, depth: int16(rng.IntN(2*math.MaxInt16+2) - math.MaxInt16 - 1)},
-		}
+		es[i] = newEntry(r.canonical(), relMeta{
+			comb:  rng.IntN(3) == 0,
+			depth: int16(rng.IntN(2*math.MaxInt16+2) - math.MaxInt16 - 1),
+		})
 	}
 	return es
 }
@@ -112,7 +112,7 @@ func TestSortMergeMatchesReference(t *testing.T) {
 			es := randEntries(rng, n)
 			ref := newRefDB()
 			for _, e := range es {
-				ref.add(e)
+				ref.add(e.relation(), e.meta())
 			}
 			switch order {
 			case "sorted":
