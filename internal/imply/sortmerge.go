@@ -63,7 +63,6 @@ func entryCmp(a, b relEntry) int { return relCmp(a.relation(), b.relation()) }
 // logged (a single growing slice copies each of them several times).
 type relLog struct {
 	chunks [][]relEntry
-	n      int
 }
 
 const maxChunk = 1 << 13
@@ -71,11 +70,14 @@ const maxChunk = 1 << 13
 func (l *relLog) add(e relEntry) {
 	k := len(l.chunks) - 1
 	if k < 0 || len(l.chunks[k]) == cap(l.chunks[k]) {
-		l.chunks = append(l.chunks, make([]relEntry, 0, min(max(l.n, 64), maxChunk)))
+		size := 64
+		if k >= 0 {
+			size = min(max(2*cap(l.chunks[k]), size), maxChunk)
+		}
+		l.chunks = append(l.chunks, make([]relEntry, 0, size))
 		k++
 	}
 	l.chunks[k] = append(l.chunks[k], e)
-	l.n++
 }
 
 // merged gathers the log into one slice, sorts and merges it (sortMerge),
@@ -85,13 +87,10 @@ func (l *relLog) merged() []relEntry {
 	if len(l.chunks) == 1 {
 		es = l.chunks[0]
 	} else {
-		es = make([]relEntry, 0, l.n)
-		for _, c := range l.chunks {
-			es = append(es, c...)
-		}
+		es = slices.Concat(l.chunks...)
 	}
 	es = sortMerge(es)
-	l.chunks, l.n = [][]relEntry{es}, len(es)
+	l.chunks = [][]relEntry{es}
 	return es
 }
 
