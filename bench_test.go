@@ -392,7 +392,7 @@ func BenchmarkAblationForwardVsInjection(b *testing.B) {
 	b.Run("combinational-injection", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			db := imply.NewDB(c)
-			learn.Combinational(c, db, nil)
+			learn.CombinationalParallel(c, db, nil, 1)
 		}
 	})
 }

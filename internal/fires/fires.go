@@ -10,6 +10,13 @@
 //     s=0 require s=1 and vice versa; a fault requiring both values of one
 //     stem is untestable.
 //
+// Both read single-frame values from imply.Propagator, the implication
+// engine combinational learning uses too: the ties are settled once into
+// its base frame, each stem value is injected on top of it, and forward
+// evaluation, unique backward justification (including XOR/XNOR parity
+// completion) and, with Options.UseRelations, the learned same-frame
+// relations run to a fixpoint.
+//
 // Soundness. Two kinds of claims are combined:
 //
 //   - Excitation claims — "the good value of node n is forced to its stuck
@@ -38,7 +45,7 @@
 package fires
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/imply"
@@ -79,25 +86,20 @@ func (r *Result) Has(c *netlist.Circuit, f fault.Fault) bool {
 // TieUntestable identifies untestable faults from learned tied gates.
 func TieUntestable(c *netlist.Circuit, lr *learn.Result) *Result {
 	an := newAnalyzer(c, lr.Ties, nil)
-	v := an.view(nil)
-	if v == nil {
+	if an.prop.BaseConflict() {
 		return &Result{}
 	}
-	marked := map[fault.Fault]bool{}
-	// Excitation claims are sound as-is.
-	for n, fv := range v.forced {
-		marked[fault.Fault{Node: n, Stuck: fv}] = true
-	}
-	// Observability candidates are re-checked with the taint filter.
+	v := an.view(an.prop.Values())
+	marked := make([]uint8, c.NumNodes())
 	for id := range c.Nodes {
 		n := netlist.NodeID(id)
-		if v.obs[n] {
-			continue
+		// Excitation claims are sound as-is.
+		if fv := v.arr[n]; fv != logic.X {
+			marked[n] |= stuckBit(fv)
 		}
-		taint := reachCache.get(c, n)
-		if !an.observable(v, taint)[n] {
-			marked[fault.Fault{Node: n, Stuck: logic.Zero}] = true
-			marked[fault.Fault{Node: n, Stuck: logic.One}] = true
+		// Observability candidates are re-checked with the taint filter.
+		if !v.obs[n] && !an.observable(v, reach(c, n))[n] {
+			marked[n] = bothStuck
 		}
 	}
 	return collapseMarked(c, marked)
@@ -115,49 +117,47 @@ func Fires(c *netlist.Circuit, lr *learn.Result, opt Options) *Result {
 	}
 	an := newAnalyzer(c, ties, db)
 
-	marked := map[fault.Fault]bool{}
+	// cones memoizes the fault sites' structural fanout cones for this
+	// call: the same node is a candidate under many stems.
+	cones := map[netlist.NodeID][]bool{}
+	marked := make([]uint8, c.NumNodes())
 	for _, s := range c.Stems() {
-		v0 := an.view(&assign{node: s, val: logic.Zero})
+		v0 := an.stemView(s, logic.Zero)
 		if v0 == nil {
 			continue
 		}
-		v1 := an.view(&assign{node: s, val: logic.One})
+		v1 := an.stemView(s, logic.One)
 		if v1 == nil {
 			continue
 		}
-
-		// Candidate faults flagged by the shared (unfiltered) analysis on
-		// both sides.
-		cand := map[fault.Fault]bool{}
-		for f := range v0.undetectable(c) {
-			cand[f] = true
-		}
-		for f := range cand {
-			if !v1.undetectable(c)[f] {
-				delete(cand, f)
+		for id := range c.Nodes {
+			n := netlist.NodeID(id)
+			// Candidate faults flagged by the shared (unfiltered) analysis
+			// on both sides and not yet marked.
+			var cand uint8
+			for _, stuck := range []logic.V{logic.Zero, logic.One} {
+				if v0.undetectable(n, stuck) && v1.undetectable(n, stuck) {
+					cand |= stuckBit(stuck)
+				}
 			}
-		}
-		if len(cand) == 0 {
-			continue
-		}
-		// Sound per-candidate confirmation, grouped by fault node so the
-		// taint cone and the two observability DPs run once per node.
-		nodes := map[netlist.NodeID][]logic.V{}
-		for f := range cand {
-			if !marked[f] {
-				nodes[f.Node] = append(nodes[f.Node], f.Stuck)
+			cand &^= marked[n]
+			if cand == 0 {
+				continue
 			}
-		}
-		for n, stucks := range nodes {
-			taint := reachCache.get(c, n)
+			// Sound confirmation: the taint cone and the two filtered
+			// observability DPs run once per candidate node.
+			taint, ok := cones[n]
+			if !ok {
+				taint = reach(c, n)
+				cones[n] = taint
+			}
 			obs0 := an.observable(v0, taint)[n]
 			obs1 := an.observable(v1, taint)[n]
-			for _, stuck := range stucks {
-				f := fault.Fault{Node: n, Stuck: stuck}
-				req0 := (v0.arr[n] != logic.X && v0.arr[n] == stuck) || !obs0
-				req1 := (v1.arr[n] != logic.X && v1.arr[n] == stuck) || !obs1
-				if req0 && req1 {
-					marked[f] = true
+			for _, stuck := range []logic.V{logic.Zero, logic.One} {
+				req0 := v0.arr[n] == stuck || !obs0
+				req1 := v1.arr[n] == stuck || !obs1
+				if cand&stuckBit(stuck) != 0 && req0 && req1 {
+					marked[n] |= stuckBit(stuck)
 				}
 			}
 		}
@@ -165,60 +165,24 @@ func Fires(c *netlist.Circuit, lr *learn.Result, opt Options) *Result {
 	return collapseMarked(c, marked)
 }
 
-// reachCones memoizes structural fanout cones per node within one process
-// (keyed by circuit identity; cleared when a different circuit arrives).
-type reachCones struct {
-	c     *netlist.Circuit
-	cones map[netlist.NodeID][]bool
-}
+// stuckBit is the bit of a per-node fault mask that stands for
+// stuck-at-v; bothStuck marks both faults of a node.
+func stuckBit(v logic.V) uint8 { return 1 << v }
 
-var reachCache reachCones
+const bothStuck = 1<<logic.Zero | 1<<logic.One
 
-func (rc *reachCones) get(c *netlist.Circuit, n netlist.NodeID) []bool {
-	if rc.c != c {
-		rc.c = c
-		rc.cones = map[netlist.NodeID][]bool{}
-	}
-	if t, ok := rc.cones[n]; ok {
-		return t
-	}
-	t := reach(c, n)
-	rc.cones[n] = t
-	return t
-}
-
-type assign struct {
-	node netlist.NodeID
-	val  logic.V
-}
-
-// view is the shared single-frame analysis for one base assignment.
+// view is the shared single-frame analysis for one base assignment: a copy
+// of the implication engine's frame and the unfiltered observability map.
 type view struct {
-	forced map[netlist.NodeID]logic.V
-	arr    []logic.V // forced, as an array for O(1) reads in the DPs
-	obs    []bool
-
-	undet map[fault.Fault]bool // lazy cache
+	arr []logic.V // forced values, indexed by node
+	obs []bool
 }
 
-// undetectable returns the (unfiltered) fault set flagged under this view.
-func (v *view) undetectable(c *netlist.Circuit) map[fault.Fault]bool {
-	if v.undet != nil {
-		return v.undet
-	}
-	out := map[fault.Fault]bool{}
-	for n, fv := range v.forced {
-		out[fault.Fault{Node: n, Stuck: fv}] = true
-	}
-	for id := range c.Nodes {
-		n := netlist.NodeID(id)
-		if !v.obs[n] {
-			out[fault.Fault{Node: n, Stuck: logic.Zero}] = true
-			out[fault.Fault{Node: n, Stuck: logic.One}] = true
-		}
-	}
-	v.undet = out
-	return out
+// undetectable reports whether the shared (unfiltered) analysis flags n
+// stuck-at-stuck under this view: its good value is forced to the stuck
+// value, or no path from it reaches an observation point.
+func (v *view) undetectable(n netlist.NodeID, stuck logic.V) bool {
+	return v.arr[n] == stuck || !v.obs[n]
 }
 
 // reach computes the structural fanout cone of n (crossing sequential
@@ -240,197 +204,43 @@ func reach(c *netlist.Circuit, n netlist.NodeID) []bool {
 	return seen
 }
 
-// analyzer performs single-frame implication and observability analysis.
+// analyzer performs the single-frame analyses: implication through the
+// shared imply.Propagator, with the ties settled once into its base frame,
+// and observability.
 type analyzer struct {
 	c    *netlist.Circuit
-	ties map[netlist.NodeID]logic.V
-	db   *imply.Snapshot
-
-	values  []logic.V
-	touched []netlist.NodeID
-	queue   []netlist.NodeID
-	inQueue []bool
-	bad     bool
+	prop *imply.Propagator
 }
 
 func newAnalyzer(c *netlist.Circuit, ties map[netlist.NodeID]logic.V, db *imply.Snapshot) *analyzer {
-	return &analyzer{
-		c:       c,
-		ties:    ties,
-		db:      db,
-		values:  make([]logic.V, c.NumNodes()),
-		inQueue: make([]bool, c.NumNodes()),
+	tieVal := make([]logic.V, c.NumNodes())
+	for n, v := range ties {
+		tieVal[n] = v
 	}
+	return &analyzer{c: c, prop: imply.NewPropagator(c, tieVal, db)}
 }
 
-// view computes forced values and the shared observability map for the
-// base ties plus the optional extra assignment; nil when contradictory.
-func (a *analyzer) view(extra *assign) *view {
-	forced := a.propagate(extra)
-	if forced == nil {
-		return nil
-	}
-	v := &view{forced: forced, arr: make([]logic.V, a.c.NumNodes())}
-	for n, fv := range forced {
-		v.arr[n] = fv
-	}
+// view copies the frame vals and computes its shared observability map.
+func (a *analyzer) view(vals []logic.V) *view {
+	v := &view{arr: slices.Clone(vals)}
 	v.obs = a.observable(v, nil)
 	return v
 }
 
-// propagate computes the values forced by ties plus the optional extra
-// assignment, using forward evaluation, unique backward justification, and
-// (optionally) learned relations. It returns nil when the assignment
-// conflicts.
-func (a *analyzer) propagate(extra *assign) map[netlist.NodeID]logic.V {
-	for _, n := range a.touched {
-		a.values[n] = logic.X
-	}
-	a.touched = a.touched[:0]
-	a.queue = a.queue[:0]
-	for i := range a.inQueue {
-		a.inQueue[i] = false
-	}
-	a.bad = false
-
-	for n, v := range a.ties {
-		a.set(n, v)
-	}
-	if extra != nil {
-		a.set(extra.node, extra.val)
-	}
-	for len(a.queue) > 0 && !a.bad {
-		n := a.queue[len(a.queue)-1]
-		a.queue = a.queue[:len(a.queue)-1]
-		a.inQueue[n] = false
-		a.evalForward(n)
-		if !a.bad {
-			a.evalBackward(n)
-		}
-	}
-	if a.bad {
+// stemView is the view of the ties plus stem s=val; nil when that
+// assignment conflicts.
+func (a *analyzer) stemView(s netlist.NodeID, val logic.V) *view {
+	if !a.prop.Run(s, val) {
 		return nil
 	}
-	out := make(map[netlist.NodeID]logic.V, len(a.touched))
-	for _, n := range a.touched {
-		out[n] = a.values[n]
-	}
-	return out
-}
-
-func (a *analyzer) set(n netlist.NodeID, v logic.V) {
-	if v == logic.X || a.bad {
-		return
-	}
-	cur := a.values[n]
-	if cur == v {
-		return
-	}
-	if cur != logic.X {
-		a.bad = true
-		return
-	}
-	a.values[n] = v
-	a.touched = append(a.touched, n)
-	a.enq(n)
-	for _, out := range a.c.Fanouts(n) {
-		if a.c.Nodes[out].Kind == netlist.KindGate {
-			a.enq(out)
-		}
-	}
-	if a.db != nil {
-		for _, lit := range a.db.SameFrameImplied(imply.Lit{Node: n, Val: v}) {
-			a.set(lit.Node, lit.Val)
-		}
-	}
-}
-
-func (a *analyzer) enq(n netlist.NodeID) {
-	if a.c.Nodes[n].Kind == netlist.KindGate && !a.inQueue[n] {
-		a.inQueue[n] = true
-		a.queue = append(a.queue, n)
-	}
-}
-
-func (a *analyzer) pinVal(p netlist.Pin) logic.V {
-	v := a.values[p.Node]
-	if p.Inv {
-		v = v.Not()
-	}
-	return v
-}
-
-func (a *analyzer) evalForward(n netlist.NodeID) {
-	var buf [16]logic.V
-	fanin := a.c.Fanin(n)
-	vals := buf[:0]
-	if cap(vals) < len(fanin) {
-		vals = make([]logic.V, 0, len(fanin))
-	}
-	for _, p := range fanin {
-		vals = append(vals, a.pinVal(p))
-	}
-	if v := logic.EvalSlice(a.c.Nodes[n].Op, vals); v != logic.X {
-		a.set(n, v)
-	}
-}
-
-func (a *analyzer) evalBackward(n netlist.NodeID) {
-	out := a.values[n]
-	if out == logic.X {
-		return
-	}
-	nd := &a.c.Nodes[n]
-	fanin := a.c.Fanin(n)
-	setPin := func(p netlist.Pin, v logic.V) {
-		if p.Inv {
-			v = v.Not()
-		}
-		a.set(p.Node, v)
-	}
-	switch nd.Op {
-	case logic.OpBuf:
-		setPin(fanin[0], out)
-	case logic.OpNot:
-		setPin(fanin[0], out.Not())
-	case logic.OpAnd, logic.OpNand, logic.OpOr, logic.OpNor:
-		ctrl, _ := nd.Op.Controlling()
-		eff := out
-		if nd.Op.Inverts() {
-			eff = eff.Not()
-		}
-		if eff == ctrl.Not() {
-			for _, p := range fanin {
-				setPin(p, ctrl.Not())
-			}
-			return
-		}
-		unknown := -1
-		for i, p := range fanin {
-			v := a.pinVal(p)
-			if v == ctrl {
-				return
-			}
-			if v == logic.X {
-				if unknown >= 0 {
-					return
-				}
-				unknown = i
-			}
-		}
-		if unknown >= 0 {
-			setPin(fanin[unknown], ctrl)
-		} else {
-			a.bad = true
-		}
-	}
+	return a.view(a.prop.Values())
 }
 
 // observable computes which nodes have an open path to an observation
 // point under the forced values. With a nil taint this is the shared
 // (unfiltered) DP: a path is blocked at a gate whose output is forced or
-// that has a side input at its controlling value. With a taint filter (see
-// obsWithTaint) only fault-independent blockers count.
+// that has a side input at its controlling value. With a taint filter (the
+// fault site's fanout cone) only fault-independent blockers count.
 func (a *analyzer) observable(v *view, taint []bool) []bool {
 	c := a.c
 	obs := make([]bool, c.NumNodes())
@@ -497,22 +307,26 @@ func (a *analyzer) observable(v *view, taint []bool) []bool {
 	return obs
 }
 
-// collapseMarked maps marked faults onto collapsed representatives.
-func collapseMarked(c *netlist.Circuit, marked map[fault.Fault]bool) *Result {
+// collapseMarked maps the marked faults (stuckBit masks indexed by node)
+// onto collapsed representatives, ordered by node then stuck value.
+func collapseMarked(c *netlist.Circuit, marked []uint8) *Result {
 	_, rep := fault.Collapse(c)
-	set := map[fault.Fault]bool{}
-	for f := range marked {
-		set[rep[f]] = true
-	}
-	out := make([]fault.Fault, 0, len(set))
-	for f := range set {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
+	reps := make([]uint8, c.NumNodes())
+	for n, m := range marked {
+		for _, stuck := range []logic.V{logic.Zero, logic.One} {
+			if m&stuckBit(stuck) != 0 {
+				f := rep[fault.Fault{Node: netlist.NodeID(n), Stuck: stuck}]
+				reps[f.Node] |= stuckBit(f.Stuck)
+			}
 		}
-		return out[i].Stuck < out[j].Stuck
-	})
+	}
+	var out []fault.Fault
+	for n, m := range reps {
+		for _, stuck := range []logic.V{logic.Zero, logic.One} {
+			if m&stuckBit(stuck) != 0 {
+				out = append(out, fault.Fault{Node: netlist.NodeID(n), Stuck: stuck})
+			}
+		}
+	}
 	return &Result{Untestable: out}
 }

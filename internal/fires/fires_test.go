@@ -2,10 +2,12 @@ package fires
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/circuits"
 	"repro/internal/fault"
+	"repro/internal/gen"
 	"repro/internal/learn"
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -98,7 +100,7 @@ func TestFiresOnFigure1(t *testing.T) {
 // flags must survive heavy random simulation.
 func TestSoundnessRandom(t *testing.T) {
 	for _, seed := range []uint64{4, 19, 88} {
-		c := randCircuit(seed)
+		c := randCircuit(seed, false)
 		lr := learn.Learn(c, learn.Options{MaxFrames: 10})
 		tieRes := TieUntestable(c, lr)
 		if removed := Verify(c, tieRes, seed+1, 60, 14); removed != 0 {
@@ -111,7 +113,9 @@ func TestSoundnessRandom(t *testing.T) {
 	}
 }
 
-func randCircuit(seed uint64) *netlist.Circuit {
+// randCircuit builds a random 5-FF sequential circuit; xor adds XOR and
+// XNOR gates to the gate mix.
+func randCircuit(seed uint64, xor bool) *netlist.Circuit {
 	r := logic.NewRand64(seed)
 	b := netlist.NewBuilder(fmt.Sprintf("fs%d", seed))
 	var names []string
@@ -124,6 +128,9 @@ func randCircuit(seed uint64) *netlist.Circuit {
 		names = append(names, fmt.Sprintf("f%d", i))
 	}
 	ops := []logic.Op{logic.OpAnd, logic.OpOr, logic.OpNand, logic.OpNor, logic.OpNot}
+	if xor {
+		ops = append(ops, logic.OpXor, logic.OpXnor)
+	}
 	for i := 0; i < 35; i++ {
 		n := fmt.Sprintf("g%d", i)
 		op := ops[r.Intn(len(ops))]
@@ -184,4 +191,79 @@ func blockingCircuit() *netlist.Circuit {
 	b.Gate("g", logic.OpAnd, netlist.P("a"), netlist.P("t0"))
 	b.PO("o", netlist.P("g"))
 	return b.MustBuild()
+}
+
+// TestFiresXorCompletion: z = AND(y, ¬s) with y = AND(b, c) and
+// s = OR(XOR(a, b), a) = a ∨ b is constant 0, so z s-a-0 is untestable.
+// Under s=1 the inverted pin forces z=0 forward; under s=0 unique
+// justification sets a=0 and XOR(a, b)=0, and only XOR parity completion
+// then yields b=0, hence y=0 and z=0. Without it no stem conflict on s
+// (or on a or b) flags the fault.
+func TestFiresXorCompletion(t *testing.T) {
+	b := netlist.NewBuilder("xorfire")
+	b.PI("a")
+	b.PI("b")
+	b.PI("c")
+	b.Gate("p", logic.OpXor, netlist.P("a"), netlist.P("b"))
+	b.Gate("s", logic.OpOr, netlist.P("p"), netlist.P("a"))
+	b.Gate("y", logic.OpAnd, netlist.P("b"), netlist.P("c"))
+	b.Gate("z", logic.OpAnd, netlist.P("y"), netlist.N("s"))
+	b.Gate("w", logic.OpNot, netlist.P("s")) // makes s a fanout stem
+	b.PO("o1", netlist.P("z"))
+	b.PO("o2", netlist.P("w"))
+	c := b.MustBuild()
+	f := fault.Fault{Node: c.MustLookup("z"), Stuck: logic.Zero}
+	if refFires(c, nil, Options{}).Has(c, f) {
+		t.Fatal("the legacy analyzer flags z s-a-0: the circuit does not isolate parity completion")
+	}
+	res := Fires(c, nil, Options{})
+	if !res.Has(c, f) {
+		t.Fatalf("FIRES missed z s-a-0: %v", names(c, res.Untestable))
+	}
+	// Exhaustive confirmation: no 2-frame binary sequence detects any
+	// flagged fault (the circuit is combinational).
+	s := fault.NewSim(c)
+	for m := 0; m < 64; m++ {
+		vec := make([][]logic.V, 2)
+		for k := range vec {
+			vec[k] = []logic.V{logic.FromBool(m>>(3*k)&1 != 0),
+				logic.FromBool(m>>(3*k+1)&1 != 0), logic.FromBool(m>>(3*k+2)&1 != 0)}
+		}
+		s.LoadSequence(vec, nil)
+		for _, g := range res.Untestable {
+			if ok, _ := s.Detects(g); ok {
+				t.Fatalf("flagged fault %s detected exhaustively", fault.Name(c, g))
+			}
+		}
+	}
+}
+
+// TestFiresConcurrent: analyses of different circuits share no state, so
+// concurrent calls return exactly the serial results (and run clean under
+// -race).
+func TestFiresConcurrent(t *testing.T) {
+	var cs []*netlist.Circuit
+	var lrs []*learn.Result
+	var want []string
+	for _, name := range []string{"s382", "s953"} {
+		c := gen.MustBuild(name)
+		lr := learn.Learn(c, learn.Options{})
+		cs, lrs = append(cs, c), append(lrs, lr)
+		want = append(want, fmt.Sprint(Fires(c, lr, Options{UseRelations: true}).Untestable))
+	}
+	got := make([]string, len(cs))
+	var wg sync.WaitGroup
+	for i := range cs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = fmt.Sprint(Fires(cs[i], lrs[i], Options{UseRelations: true}).Untestable)
+		}()
+	}
+	wg.Wait()
+	for i := range cs {
+		if got[i] != want[i] {
+			t.Errorf("%s: concurrent Fires differs from the serial run", cs[i].Name)
+		}
+	}
 }

@@ -18,6 +18,11 @@
 // lines. The snapshot stores sorted slices plus a dense same-frame index —
 // no maps on either path — and is safe for any number of concurrent
 // readers without locks.
+//
+// Propagator is the single-frame implication engine that reads the
+// circuit (and optionally a Snapshot's same-frame relations): combinational
+// learning derives relations with it, and the FIRES analyses derive the
+// values forced under each stem assignment.
 package imply
 
 import (

@@ -57,15 +57,6 @@ func CaptureSweep(c *netlist.Circuit, opt Options) *SweepWorkload {
 	return w
 }
 
-// Jobs returns the total number of scheduled simulations in the workload.
-func (w *SweepWorkload) Jobs() int {
-	n := 0
-	for i := range w.stages {
-		n += len(w.stages[i].jobs)
-	}
-	return n
-}
-
 // traceSingle records a single-node stage: one frame-0 injection per
 // simulated (cache-missed) stem row.
 func (l *learner) traceSingle(stems []netlist.NodeID, opt sim.Options, out []stemRows) {

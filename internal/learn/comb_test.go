@@ -63,12 +63,16 @@ func TestCombinationalParallelDeterminism(t *testing.T) {
 	}
 }
 
-// combReference is the sweep combProp replaced, kept as an oracle: every
-// injection starts from an empty frame and re-propagates all the ties
-// together with the injected literal. It shares combProp's propagation
-// rules but not its settled base frame.
+// combReference is the per-injection sweep the settled base frame
+// replaced, kept as an oracle: every injection starts from an empty frame
+// and re-propagates all the ties together with the injected literal. It
+// shares imply.Propagator's propagation rules but not its settled base
+// frame: each injection settles a fresh engine whose ties include it.
 func combReference(c *netlist.Circuit, db *imply.DB, ties map[netlist.NodeID]logic.V) []Tie {
-	p := newCombProp(c, make([]logic.V, c.NumNodes()))
+	tieVal := make([]logic.V, c.NumNodes())
+	for tn, tv := range ties {
+		tieVal[tn] = tv
+	}
 	var newTies []Tie
 	for id := range c.Nodes {
 		n := netlist.NodeID(id)
@@ -76,27 +80,17 @@ func combReference(c *netlist.Circuit, db *imply.DB, ties map[netlist.NodeID]log
 			continue
 		}
 		for _, v := range []logic.V{logic.Zero, logic.One} {
-			for _, m := range p.touched {
-				p.values[m] = logic.X
-			}
-			p.touched = p.touched[:0]
-			clear(p.inQueue)
-			p.queue = p.queue[:0]
-			p.conflict = false
-			for tn, tv := range ties {
-				p.assign(tn, tv)
-			}
-			p.assign(n, v)
-			p.settle()
-			if p.conflict {
+			tieVal[n] = v
+			p := imply.NewPropagator(c, tieVal, nil)
+			tieVal[n] = logic.X
+			if p.BaseConflict() {
 				newTies = append(newTies, Tie{Node: n, Val: v.Not(), Frame: 0})
 				continue
 			}
-			for _, m := range p.touched {
-				if _, tied := ties[m]; tied || m == n || (!c.IsSeq(n) && !c.IsSeq(m)) {
-					continue
+			for _, lit := range p.BaseImps() {
+				if c.IsSeq(n) || c.IsSeq(lit.Node) {
+					db.Add(imply.Lit{Node: n, Val: v}, lit, 0, true, 0)
 				}
-				db.Add(imply.Lit{Node: n, Val: v}, imply.Lit{Node: m, Val: p.values[m]}, 0, true, 0)
 			}
 		}
 	}
@@ -160,9 +154,9 @@ func TestCombinationalMatchesReference(t *testing.T) {
 		for n, v := range tc.ties {
 			tieVal[n] = v
 		}
-		if base := newCombProp(tc.c, tieVal); base.baseConflict {
+		if base := imply.NewPropagator(tc.c, tieVal, nil); base.BaseConflict() {
 			conflicts++
-		} else if len(base.baseImps) > 0 {
+		} else if len(base.BaseImps()) > 0 {
 			withBase++
 		}
 		refDB := imply.NewDB(tc.c)
@@ -184,7 +178,7 @@ func TestCombinationalMatchesReference(t *testing.T) {
 func TestCombBackwardNand(t *testing.T) {
 	c := combCircuit(t)
 	db := imply.NewDB(c)
-	Combinational(c, db, nil)
+	CombinationalParallel(c, db, nil, 1)
 	s := db.Freeze()
 	// nand=0 ⟹ both inputs 1.
 	if !s.HasNamed("nand", logic.Zero, "q1", logic.One, 0) ||
@@ -211,7 +205,7 @@ func TestCombXorCompletion(t *testing.T) {
 	// the contrapositive database entries exist via q-injections.
 	c := combCircuit(t)
 	db := imply.NewDB(c)
-	Combinational(c, db, nil)
+	CombinationalParallel(c, db, nil, 1)
 	s := db.Freeze()
 	// Injecting q1=1 forces nor=0 (forward).
 	if !s.HasNamed("q1", logic.One, "nor", logic.Zero, 0) {
@@ -235,7 +229,7 @@ func TestCombTieDetection(t *testing.T) {
 	b.PO("o2", netlist.P("t2"))
 	c := b.MustBuild()
 	db := imply.NewDB(c)
-	ties := Combinational(c, db, nil)
+	ties := CombinationalParallel(c, db, nil, 1)
 	got := map[string]logic.V{}
 	for _, tie := range ties {
 		got[c.NameOf(tie.Node)] = tie.Val

@@ -238,7 +238,7 @@ func TestCombinationalLearner(t *testing.T) {
 	b.PO("o", netlist.P("g"))
 	c := b.MustBuild()
 	db := imply.NewDB(c)
-	ties := Combinational(c, db, nil)
+	ties := CombinationalParallel(c, db, nil, 1)
 	s := db.Freeze()
 	// g=1 implies (backward) q1=1 and q2=1: gate-FF relations.
 	if !s.HasNamed("g", logic.One, "q1", logic.One, 0) {

@@ -107,18 +107,18 @@ func (l *learner) multiNodePacked(targets []imply.Lit, records map[imply.Lit][]r
 	// Batch lanes with similar frame horizons together: every lane writes
 	// only its own out slot, so the grouping is free to reorder — results
 	// stay bit-identical — while batches stop running long-tail frames for
-	// a single deep target and each batch reads only a few distinct frame
-	// indices in the FramesAt extraction below. The secondary key clusters
-	// targets with lexicographically similar schedules: their cones overlap,
-	// which shrinks the per-frame evaluation front — the packed sweep
-	// evaluates the union cone of the batch.
+	// a single deep target and each batch captures only a few distinct
+	// frame indices (one CapturedGroup each). The secondary key clusters
+	// targets with lexicographically similar schedules: their cones
+	// overlap, which shrinks the per-frame evaluation front — the packed
+	// sweep evaluates the union cone of the batch.
 	slices.SortStableFunc(simIdx, func(a, b int) int {
 		if d := cmp.Compare(out[a].T, out[b].T); d != 0 {
 			return d
 		}
 		return compareSchedules(injs[a], injs[b])
 	})
-	opt.NoFrameRecords = true // only Captured frame T is read back
+	opt.NoFrameRecords = true // only the captured frame T is read back
 	l.runParallel(batchCount(len(simIdx), l.lanes), func(pe *sim.PackedEngine, b int) {
 		lo, hi := batchSpan(b, len(simIdx), l.lanes)
 		runs := make([]sim.LaneRun, hi-lo)

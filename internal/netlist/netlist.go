@@ -155,17 +155,6 @@ type Circuit struct {
 // NumNodes returns the total node count.
 func (c *Circuit) NumNodes() int { return len(c.Nodes) }
 
-// NumGates returns the number of combinational gates.
-func (c *Circuit) NumGates() int {
-	n := 0
-	for i := range c.Nodes {
-		if c.Nodes[i].Kind == KindGate {
-			n++
-		}
-	}
-	return n
-}
-
 // Fanin returns the fanin pins of node id (empty for PIs and sequential
 // elements; use Seq for those). The returned slice aliases internal storage
 // and must not be modified.

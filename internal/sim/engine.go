@@ -89,8 +89,8 @@ type Options struct {
 
 	// NoFrameRecords, honored only by PackedEngine.RunScheduled, skips
 	// building the shared frame records: NumFrames, the conflict and
-	// early-stop masks, and CaptureLast frames stay valid, while Lane,
-	// Results and FramesAt see empty frames. The multiple-node learning
+	// early-stop masks, and CaptureLast frames stay valid, while Results
+	// sees empty frames. The multiple-node learning
 	// sweep reads nothing but frame T, so it sets this to avoid paying for
 	// the 64-lane union records. Engine.Run ignores it — the scalar result
 	// is the frame records.

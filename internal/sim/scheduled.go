@@ -76,12 +76,13 @@ type packedFrame struct {
 }
 
 // ScheduledResult is the outcome of a packed scheduled run. Per-lane scalar
-// results are extracted with Lane. All frame records share the two arenas,
-// and the whole result — struct and arenas — is owned by the engine and
-// recycled by its next RunScheduled call, so steady-state batch sweeps run
-// allocation-free. Consumers must finish reading (or extract with Lane,
-// Results or Captured, which copy) before running the engine again;
-// CapturedGroups aliases the arenas and is likewise invalidated.
+// results are extracted with Results; CaptureLast frames are read from
+// CapturedGroups. All frame records share the two arenas, and the whole
+// result — struct and arenas — is owned by the engine and recycled by its
+// next RunScheduled call, so steady-state batch sweeps run allocation-free.
+// Consumers must finish reading (or extract with Results, which copies)
+// before running the engine again; CapturedGroups aliases the arenas and
+// is likewise invalidated.
 type ScheduledResult struct {
 	frames    []packedFrame
 	nodes     []netlist.NodeID
@@ -130,76 +131,14 @@ func (r *ScheduledResult) CapturedGroups() []CapturedGroup {
 	return out
 }
 
-// Captured returns the frame captured for lane l by LaneRun.CaptureLast —
-// identical to LaneFrame(l, cap-1) — by extracting it from the lane's
-// CapturedGroup. It is nil when the lane did not request capture or never
-// recorded its final frame (conflict, early stop, or a schedule that ended
-// sooner); NumFrames distinguishes an empty frame from an unreached one.
-// Bulk consumers should walk CapturedGroups instead.
-func (r *ScheduledResult) Captured(l int) Frame {
-	bit := uint64(1) << uint(l)
-	for _, sp := range r.capSpans {
-		if sp.mask&bit == 0 {
-			continue
-		}
-		var f Frame
-		for i := sp.lo; i < sp.hi; i++ {
-			if v := r.capVals[i].Get(l); v != logic.X {
-				f = append(f, Assign{Node: r.capNodes[i], Val: v})
-			}
-		}
-		return f
-	}
-	return nil
-}
-
-// Lane extracts lane l as a scalar Result. It matches Engine.Run on the
-// lane's injections bit for bit, except that ConflictNode is not tracked
-// (ConflictFrame is, and equals the number of recorded frames as in the
-// scalar engine).
-func (r *ScheduledResult) Lane(l int) Result {
-	if l < 0 || l >= r.Lanes {
-		panic(fmt.Sprintf("sim: Lane(%d) of a %d-lane scheduled run", l, r.Lanes))
-	}
-	var out Result
-	bit := uint64(1) << uint(l)
-	n := int(r.numFrames[l])
-	if r.ConflictMask&bit != 0 {
-		out.Conflict = true
-		out.ConflictFrame = n
-	}
-	out.StoppedEarly = r.StoppedEarlyMask&bit != 0
-	if n == 0 {
-		return out
-	}
-	out.Frames = make([]Frame, n)
-	for t := 0; t < n; t++ {
-		out.Frames[t] = r.LaneFrame(l, t)
-	}
-	return out
-}
-
-// LaneFrame extracts frame t of lane l as a scalar Frame without
-// materializing the whole lane — the cheap accessor for consumers that
-// read a single frame per lane (multiple-node learning reads frame T).
-func (r *ScheduledResult) LaneFrame(l, t int) Frame {
-	pf := &r.frames[t]
-	var f Frame
-	for i := pf.lo; i < pf.hi; i++ {
-		if v := r.vals[i].Get(l); v != logic.X {
-			f = append(f, Assign{Node: r.nodes[i], Val: v})
-		}
-	}
-	return f
-}
-
 // Results extracts every lane as a scalar Result in one bit-scatter pass
-// over the frame records. Extracting lane by lane with Lane scans the
-// 64-lane union once per lane; here each recorded (node, value) word is
-// visited once, and its known bits are scattered straight into the
-// per-lane frames with bits.TrailingZeros64, so the cost is linear in the
-// number of scalar assignments — the same count the scalar engine records.
-// All frames share one backing array; per-lane contents match Lane exactly.
+// over the frame records: each recorded (node, value) word is visited
+// once, and its known bits are scattered straight into the per-lane frames
+// with bits.TrailingZeros64, so the cost is linear in the number of scalar
+// assignments — the same count the scalar engine records. All frames share
+// one backing array. Lane l matches Engine.Run on its injections bit for
+// bit, except that ConflictNode is not tracked (ConflictFrame is, and
+// equals the number of recorded frames as in the scalar engine).
 func (r *ScheduledResult) Results() []Result {
 	out := make([]Result, r.Lanes)
 	maxF := 0
@@ -287,74 +226,6 @@ func (r *ScheduledResult) Results() []Result {
 		}
 	}
 	return out
-}
-
-// FramesAt extracts frame t of the lanes selected by mask in one
-// bit-scatter pass — the bulk form of LaneFrame for consumers that read a
-// single frame index across many lanes (the multiple-node learning sweep
-// reads frame T, and batches are grouped by T, so each group extracts only
-// its own lanes). Unselected lanes and lanes whose result has no frame t
-// get nil.
-func (r *ScheduledResult) FramesAt(t int, mask uint64) []Frame {
-	frames := make([]Frame, r.Lanes)
-	lm := uint64(0)
-	for l := 0; l < r.Lanes; l++ {
-		if int(r.numFrames[l]) > t {
-			lm |= uint64(1) << uint(l)
-		}
-	}
-	lm &= mask
-	if lm == 0 || t < 0 || t >= len(r.frames) {
-		return frames
-	}
-	// Count pass, remembering which record entries touch the selected
-	// lanes at all: with a narrow lane group most of the union record is
-	// skipped, so the scatter pass only revisits the live entries.
-	pf := &r.frames[t]
-	var cnt, cur [logic.W]int32
-	live := make([]int32, 0, pf.hi-pf.lo)
-	for i := pf.lo; i < pf.hi; i++ {
-		m := r.vals[i].Known() & lm
-		if m == 0 {
-			continue
-		}
-		live = append(live, i)
-		for m != 0 {
-			l := bits.TrailingZeros64(m)
-			m &= m - 1
-			cnt[l]++
-		}
-	}
-	total := int32(0)
-	for l := 0; l < r.Lanes; l++ {
-		total += cnt[l]
-	}
-	arena := make([]Assign, total)
-	off := int32(0)
-	for l := 0; l < r.Lanes; l++ {
-		if lm&(uint64(1)<<uint(l)) != 0 {
-			frames[l] = arena[off : off+cnt[l]]
-			cur[l] = off
-			off += cnt[l]
-		}
-	}
-	for _, i := range live {
-		node := r.nodes[i]
-		w := r.vals[i]
-		m := w.Known() & lm
-		for m != 0 {
-			l := bits.TrailingZeros64(m)
-			m &= m - 1
-			v := logic.Zero
-			if w.Ones&(uint64(1)<<uint(l)) != 0 {
-				v = logic.One
-			}
-			k := cur[l]
-			cur[l] = k + 1
-			arena[k] = Assign{Node: node, Val: v}
-		}
-	}
-	return frames
 }
 
 // schedInj is one scheduled injection with its target lane.

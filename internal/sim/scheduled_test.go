@@ -45,12 +45,47 @@ func checkLane(t *testing.T, tag string, got, want Result) {
 	}
 }
 
+// checkCaptured compares the CaptureLast groups of a run with the scalar
+// engine's results: a capturing lane sits in exactly one group when its
+// scalar run recorded the final frame (index cap-1) and reads that frame
+// from it; every other lane sits in none.
+func checkCaptured(t *testing.T, tag string, res *ScheduledResult, lanes []LaneRun, want []Result) {
+	t.Helper()
+	groups := res.CapturedGroups()
+	for l, lr := range lanes {
+		bit := uint64(1) << uint(l)
+		var frame Frame
+		hits := 0
+		for _, g := range groups {
+			if g.Mask&bit == 0 {
+				continue
+			}
+			hits++
+			for i, n := range g.Nodes {
+				if v := g.Vals[i].Get(l); v != logic.X {
+					frame = append(frame, Assign{Node: n, Val: v})
+				}
+			}
+		}
+		reached := lr.CaptureLast && len(want[l].Frames) == lr.MaxFrames
+		if reached != (hits == 1) || hits > 1 {
+			t.Fatalf("%s lane %d: in %d captured groups; capture requested %v, scalar frames %d of cap %d",
+				tag, l, hits, lr.CaptureLast, len(want[l].Frames), lr.MaxFrames)
+		}
+		if reached && !frameEq(frame, want[l].Frames[lr.MaxFrames-1]) {
+			t.Fatalf("%s lane %d: captured %v, scalar final frame %v", tag, l, frame, want[l].Frames[lr.MaxFrames-1])
+		}
+	}
+}
+
 // TestRunScheduledMatchesEngine is the scheduled runner's core contract:
 // each lane of a 64-lane batch — its own injection schedule, its own frame
 // cap — must reproduce Engine.Run bit for bit, across random propagation
 // gating, equivalence partner maps, tie constants and the early-stop
-// ablation. This is the property the packed learner's correctness reduces
-// to.
+// ablation. Lanes may capture their final frame (CaptureLast), and some
+// rounds skip the frame records as the multiple-node sweep does
+// (NoFrameRecords): the captured groups must still match. This is the
+// property the packed learner's correctness reduces to.
 func TestRunScheduledMatchesEngine(t *testing.T) {
 	for _, seed := range []uint64{5, 17, 23, 61, 97, 131} {
 		c := randSeqCircuit(seed)
@@ -65,6 +100,7 @@ func TestRunScheduledMatchesEngine(t *testing.T) {
 			if r.Bool() {
 				opt.NoEarlyStop = true
 			}
+			opt.NoFrameRecords = r.Intn(3) == 0
 			if r.Intn(3) == 0 {
 				modes := make([]PropMode, len(c.Seqs))
 				for i := range modes {
@@ -96,6 +132,7 @@ func TestRunScheduledMatchesEngine(t *testing.T) {
 			lanes := make([]LaneRun, 1+r.Intn(logic.W))
 			for l := range lanes {
 				lanes[l].MaxFrames = 1 + r.Intn(12)
+				lanes[l].CaptureLast = r.Bool()
 				for k := r.Intn(6); k > 0; k-- {
 					frame := r.Intn(7)
 					if r.Intn(16) == 0 {
@@ -110,12 +147,24 @@ func TestRunScheduledMatchesEngine(t *testing.T) {
 			}
 
 			res := pe.RunScheduled(lanes, opt)
+			tag := string(rune('A'+round)) + "/" + c.Name
+			want := make([]Result, len(lanes))
 			for l := range lanes {
 				lopt := opt
 				lopt.MaxFrames = lanes[l].MaxFrames
-				want := se.Run(lanes[l].Inj, lopt)
-				tag := string(rune('A'+round)) + "/" + c.Name
-				checkLane(t, tag, res.Lane(l), want)
+				want[l] = se.Run(lanes[l].Inj, lopt)
+				if res.NumFrames(l) != len(want[l].Frames) || (res.ConflictMask>>uint(l)&1 == 1) != want[l].Conflict {
+					t.Fatalf("%s lane %d: %d frames (conflict mask %x), scalar %d frames (conflict %v)",
+						tag, l, res.NumFrames(l), res.ConflictMask, len(want[l].Frames), want[l].Conflict)
+				}
+			}
+			checkCaptured(t, tag, res, lanes, want)
+			if opt.NoFrameRecords {
+				continue
+			}
+			got := res.Results()
+			for l := range lanes {
+				checkLane(t, tag, got[l], want[l])
 			}
 		}
 	}
@@ -149,10 +198,10 @@ func TestRunScheduledLearnedTies(t *testing.T) {
 				Val:   logic.FromBool(r.Bool()),
 			}}
 		}
-		res := pe.RunScheduled(lanes, Options{MaxFrames: 8})
+		got := pe.RunScheduled(lanes, Options{MaxFrames: 8}).Results()
 		for l := range lanes {
 			want := se.Run(lanes[l].Inj, Options{MaxFrames: 8})
-			checkLane(t, "ties", res.Lane(l), want)
+			checkLane(t, "ties", got[l], want)
 		}
 	}
 
@@ -161,11 +210,11 @@ func TestRunScheduledLearnedTies(t *testing.T) {
 	clone := pe.Clone()
 	clone.CopyTies(pe)
 	lanes := []LaneRun{{Inj: []Injection{{Frame: 0, Node: c.MustLookup("g5"), Val: logic.One}}, MaxFrames: 6}}
-	checkLane(t, "copyties", clone.RunScheduled(lanes, Options{}).Lane(0),
+	checkLane(t, "copyties", clone.RunScheduled(lanes, Options{}).Results()[0],
 		se.Run(lanes[0].Inj, Options{MaxFrames: 6}))
 	pe.SetTies(nil)
 	se.SetTies(nil)
-	checkLane(t, "clearties", pe.RunScheduled(lanes, Options{}).Lane(0),
+	checkLane(t, "clearties", pe.RunScheduled(lanes, Options{}).Results()[0],
 		se.Run(lanes[0].Inj, Options{MaxFrames: 6}))
 }
 
@@ -194,10 +243,10 @@ func TestRunScheduledAfterStep(t *testing.T) {
 				{Frame: 2, Node: netlist.NodeID(r.Intn(c.NumNodes())), Val: logic.FromBool(r.Bool())},
 			}
 		}
-		res := pe.RunScheduled(lanes, Options{MaxFrames: 10})
+		got := pe.RunScheduled(lanes, Options{MaxFrames: 10}).Results()
 		for l := range lanes {
 			want := se.Run(lanes[l].Inj, Options{MaxFrames: 10})
-			checkLane(t, "afterstep", res.Lane(l), want)
+			checkLane(t, "afterstep", got[l], want)
 		}
 	}
 }
