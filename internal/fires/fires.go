@@ -70,19 +70,6 @@ type Result struct {
 // Count returns the number of untestable representative faults.
 func (r *Result) Count() int { return len(r.Untestable) }
 
-// Has reports whether the (possibly uncollapsed) fault is covered by the
-// result.
-func (r *Result) Has(c *netlist.Circuit, f fault.Fault) bool {
-	_, rep := fault.Collapse(c)
-	want := rep[f]
-	for _, g := range r.Untestable {
-		if g == want {
-			return true
-		}
-	}
-	return false
-}
-
 // TieUntestable identifies untestable faults from learned tied gates.
 func TieUntestable(c *netlist.Circuit, lr *learn.Result) *Result {
 	an := newAnalyzer(c, lr.Ties, nil)

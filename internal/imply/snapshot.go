@@ -68,8 +68,12 @@ func newSnapshot(c *netlist.Circuit, es []relEntry) *Snapshot {
 		s.sfDst[s.sfOff[k]+fill[k]] = r.A.Not()
 		fill[k]++
 	}
+	// Buckets fill from relations in relCmp order, so nearly all arrive
+	// sorted already; sort only the ones that do not.
 	for k := 0; k < nk; k++ {
-		slices.SortFunc(s.sfDst[s.sfOff[k]:s.sfOff[k+1]], litCmp)
+		if b := s.sfDst[s.sfOff[k]:s.sfOff[k+1]]; !slices.IsSortedFunc(b, litCmp) {
+			slices.SortFunc(b, litCmp)
+		}
 	}
 	return s
 }

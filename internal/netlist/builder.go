@@ -2,6 +2,8 @@ package netlist
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/logic"
 )
@@ -13,31 +15,34 @@ import (
 type Builder struct {
 	name string
 
-	nodes []bNode
-	pos   []bPO
-	ids   map[string]NodeID
+	// nodes, pins and ids become the circuit's own tables in Build. A gate
+	// pin whose net was not yet defined when the gate was holds
+	// pendingNode(k) and is resolved by Build from pending[k].
+	nodes   []Node
+	pins    []Pin
+	ids     map[string]NodeID
+	pending []string
+	// shared is set once Build has handed the tables to a circuit; the
+	// builder copies them before it changes them again.
+	shared bool
 
+	seqs map[NodeID]*bSeq
+	pos  []bPO
 	errs []error
-}
-
-type bNode struct {
-	name    string
-	kind    Kind
-	op      logic.Op
-	fanin   []Ref
-	seq     *bSeq
-	defined bool
 }
 
 type Ref struct {
 	ref string
 	inv bool
+	// node is the net's id plus one when the net was already defined as
+	// the reference was made (RefBytes); 0 leaves the lookup to the
+	// builder.
+	node NodeID
 }
 
 type bSeq struct {
 	d        Ref
 	clock    Clock
-	isLatch  bool
 	set, rst *Ref
 	ports    []struct{ en, d Ref }
 }
@@ -47,9 +52,34 @@ type bPO struct {
 	pin  Ref
 }
 
+// pendingNode encodes index k of Builder.pending as a pin's node, below
+// InvalidNode.
+func pendingNode(k int) NodeID { return InvalidNode - 1 - NodeID(k) }
+
 // NewBuilder returns an empty builder for a circuit with the given name.
 func NewBuilder(name string) *Builder {
-	return &Builder{name: name, ids: make(map[string]NodeID)}
+	return &Builder{name: name, ids: make(map[string]NodeID), seqs: make(map[NodeID]*bSeq)}
+}
+
+// Grow makes room for nodes more nodes and pins more gate pins, so that a
+// reader which can count its input ahead does not regrow the builder.
+func (b *Builder) Grow(nodes, pins int) {
+	b.nodes = slices.Grow(b.nodes, nodes)
+	b.pins = slices.Grow(b.pins, pins)
+	if len(b.ids) == 0 {
+		b.ids = make(map[string]NodeID, nodes)
+	}
+}
+
+// own copies the tables Build handed to a circuit, so that the circuit
+// stays as built.
+func (b *Builder) own() {
+	if b.shared {
+		b.nodes = slices.Clone(b.nodes)
+		b.pins = slices.Clone(b.pins)
+		b.ids = maps.Clone(b.ids)
+		b.shared = false
+	}
 }
 
 // P names a pin reference; use N for an inverted reference.
@@ -58,26 +88,36 @@ func P(ref string) Ref { return Ref{ref: ref} }
 // N names an inverted pin reference (a bubble on the pin).
 func N(ref string) Ref { return Ref{ref: ref, inv: true} }
 
-func (b *Builder) declare(name string) NodeID {
-	if id, ok := b.ids[name]; ok {
-		return id
+// RefBytes returns a pin reference to the net named by name, inverted when
+// inv. A net that is already defined is resolved at once, with no copy of
+// its name; any other name is copied and resolved later, like P and N.
+// The reference is only valid for pins given to b.
+func (b *Builder) RefBytes(name []byte, inv bool) Ref {
+	if id, ok := b.ids[string(name)]; ok {
+		return Ref{ref: b.nodes[id].Name, inv: inv, node: id + 1}
 	}
-	id := NodeID(len(b.nodes))
-	b.nodes = append(b.nodes, bNode{name: name})
-	b.ids[name] = id
-	return id
+	return Ref{ref: string(name), inv: inv}
 }
 
-func (b *Builder) define(name string, kind Kind) *bNode {
-	id := b.declare(name)
-	n := &b.nodes[id]
-	if n.defined {
+// define adds the node, or on a second definition records the error and
+// returns the first node's id, whose node the caller then overwrites
+// (Build fails).
+func (b *Builder) define(name string, kind Kind) NodeID {
+	b.own()
+	// One map write per node instead of a probe and a write: the map
+	// keeps its size only when the name was taken, and the first
+	// definition's id then goes back.
+	id, size := NodeID(len(b.nodes)), len(b.ids)
+	b.ids[name] = id
+	if len(b.ids) == size {
+		first := NodeID(slices.IndexFunc(b.nodes, func(n Node) bool { return n.Name == name }))
+		b.ids[name] = first
 		b.errs = append(b.errs, fmt.Errorf("node %q defined twice", name))
-		return n
+		return first
 	}
-	n.defined = true
-	n.kind = kind
-	return n
+	at := int32(len(b.pins))
+	b.nodes = append(b.nodes, Node{Name: name, Kind: kind, FaninStart: at, FaninEnd: at})
+	return id
 }
 
 // PI declares a primary input.
@@ -87,9 +127,13 @@ func (b *Builder) PI(name string) {
 
 // Gate defines a combinational gate computing op over the given pins.
 func (b *Builder) Gate(name string, op logic.Op, pins ...Ref) {
-	n := b.define(name, KindGate)
-	n.op = op
-	n.fanin = append([]Ref(nil), pins...)
+	n := &b.nodes[b.define(name, KindGate)]
+	n.Op = op
+	n.FaninStart = int32(len(b.pins))
+	for _, p := range pins {
+		b.pins = append(b.pins, b.pin(p))
+	}
+	n.FaninEnd = int32(len(b.pins))
 	switch op {
 	case logic.OpBuf, logic.OpNot:
 		if len(pins) != 1 {
@@ -106,17 +150,28 @@ func (b *Builder) Gate(name string, op logic.Op, pins ...Ref) {
 	}
 }
 
+// pin resolves p if its net is defined by now, and otherwise queues its
+// name for Build.
+func (b *Builder) pin(p Ref) Pin {
+	if p.node > 0 {
+		return Pin{Node: p.node - 1, Inv: p.inv}
+	}
+	if id, ok := b.ids[p.ref]; ok {
+		return Pin{Node: id, Inv: p.inv}
+	}
+	b.pending = append(b.pending, p.ref)
+	return Pin{Node: pendingNode(len(b.pending) - 1), Inv: p.inv}
+}
+
 // DFF defines an edge-triggered flip-flop capturing pin d in the given
 // clock domain/phase.
 func (b *Builder) DFF(name string, d Ref, clk Clock) {
-	n := b.define(name, KindDFF)
-	n.seq = &bSeq{d: d, clock: clk}
+	b.seqs[b.define(name, KindDFF)] = &bSeq{d: d, clock: clk}
 }
 
 // Latch defines a level-sensitive latch capturing pin d.
 func (b *Builder) Latch(name string, d Ref, clk Clock) {
-	n := b.define(name, KindLatch)
-	n.seq = &bSeq{d: d, clock: clk, isLatch: true}
+	b.seqs[b.define(name, KindLatch)] = &bSeq{d: d, clock: clk}
 }
 
 // SetNet attaches an asynchronous set net to a previously defined
@@ -145,11 +200,12 @@ func (b *Builder) AddPort(ff string, enable, data Ref) {
 
 func (b *Builder) seqOf(name, opName string) *bSeq {
 	id, ok := b.ids[name]
-	if !ok || b.nodes[id].seq == nil {
+	s := b.seqs[id]
+	if !ok || s == nil {
 		b.errs = append(b.errs, fmt.Errorf("%s: %q is not a defined sequential element", opName, name))
 		return nil
 	}
-	return b.nodes[id].seq
+	return s
 }
 
 // PO declares a primary output observing the given pin.
@@ -157,18 +213,25 @@ func (b *Builder) PO(name string, pin Ref) {
 	b.pos = append(b.pos, bPO{name: name, pin: pin})
 }
 
-func (b *Builder) resolve(p Ref, ctx string) (Pin, error) {
+// resolve looks up a pin's net; the error names the pin as "<role> <name>"
+// (e.g. "gate g1"), formatted only on failure.
+func (b *Builder) resolve(p Ref, role, name string) (Pin, error) {
+	if p.node > 0 {
+		return Pin{Node: p.node - 1, Inv: p.inv}, nil
+	}
 	id, ok := b.ids[p.ref]
 	if !ok {
-		return Pin{Node: InvalidNode}, fmt.Errorf("%s references undefined net %q", ctx, p.ref)
+		return Pin{Node: InvalidNode}, fmt.Errorf("%s%s references undefined net %q", role, name, p.ref)
 	}
 	return Pin{Node: id, Inv: p.inv}, nil
 }
 
 // Build validates the netlist and returns the frozen circuit. It fails if
 // any net is undefined or multiply defined, a gate has the wrong arity, or
-// the combinational logic contains a cycle.
+// the combinational logic contains a cycle. The circuit takes the
+// builder's node, pin and name tables as its own.
 func (b *Builder) Build() (*Circuit, error) {
+	b.own()
 	errs := append([]error(nil), b.errs...)
 	fail := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf(format, args...))
@@ -176,57 +239,53 @@ func (b *Builder) Build() (*Circuit, error) {
 
 	c := &Circuit{
 		Name:   b.name,
-		Nodes:  make([]Node, len(b.nodes)),
-		byName: make(map[string]NodeID, len(b.nodes)),
+		Nodes:  b.nodes,
+		pins:   b.pins,
+		byName: b.ids,
 	}
 
-	for id := range b.nodes {
-		bn := &b.nodes[id]
+	for id := range c.Nodes {
 		n := &c.Nodes[id]
-		n.Name = bn.name
-		n.Kind = bn.kind
-		n.Op = bn.op
-		c.byName[bn.name] = NodeID(id)
-
-		n.FaninStart = int32(len(c.pins))
-		for _, p := range bn.fanin {
-			rp, err := b.resolve(p, "gate "+bn.name)
-			if err != nil {
-				fail("%v", err)
-				continue
+		for i := n.FaninStart; i < n.FaninEnd; i++ {
+			if p := &c.pins[i]; p.Node < InvalidNode {
+				rp, err := b.resolve(Ref{ref: b.pending[InvalidNode-1-p.Node], inv: p.Inv}, "gate ", n.Name)
+				if err != nil {
+					fail("%v", err)
+					continue
+				}
+				*p = rp
 			}
-			c.pins = append(c.pins, rp)
 		}
-		n.FaninEnd = int32(len(c.pins))
 
-		switch bn.kind {
+		switch n.Kind {
 		case KindPI:
 			c.PIs = append(c.PIs, NodeID(id))
 		case KindDFF, KindLatch:
 			c.Seqs = append(c.Seqs, NodeID(id))
-			si := &SeqInfo{Clock: bn.seq.clock, SetNet: Pin{Node: InvalidNode}, ResetNet: Pin{Node: InvalidNode}}
-			d, err := b.resolve(bn.seq.d, "element "+bn.name)
+			bs := b.seqs[NodeID(id)]
+			si := &SeqInfo{Clock: bs.clock, SetNet: Pin{Node: InvalidNode}, ResetNet: Pin{Node: InvalidNode}}
+			d, err := b.resolve(bs.d, "element ", n.Name)
 			if err != nil {
 				fail("%v", err)
 			}
 			si.D = d
-			if bn.seq.set != nil {
-				if p, err := b.resolve(*bn.seq.set, "set of "+bn.name); err != nil {
+			if bs.set != nil {
+				if p, err := b.resolve(*bs.set, "set of ", n.Name); err != nil {
 					fail("%v", err)
 				} else {
 					si.SetNet = p
 				}
 			}
-			if bn.seq.rst != nil {
-				if p, err := b.resolve(*bn.seq.rst, "reset of "+bn.name); err != nil {
+			if bs.rst != nil {
+				if p, err := b.resolve(*bs.rst, "reset of ", n.Name); err != nil {
 					fail("%v", err)
 				} else {
 					si.ResetNet = p
 				}
 			}
-			for _, pt := range bn.seq.ports {
-				en, err1 := b.resolve(pt.en, "port enable of "+bn.name)
-				d, err2 := b.resolve(pt.d, "port data of "+bn.name)
+			for _, pt := range bs.ports {
+				en, err1 := b.resolve(pt.en, "port enable of ", n.Name)
+				d, err2 := b.resolve(pt.d, "port data of ", n.Name)
 				if err1 != nil || err2 != nil {
 					if err1 != nil {
 						fail("%v", err1)
@@ -243,7 +302,7 @@ func (b *Builder) Build() (*Circuit, error) {
 	}
 
 	for _, po := range b.pos {
-		p, err := b.resolve(po.pin, "output "+po.name)
+		p, err := b.resolve(po.pin, "output ", po.name)
 		if err != nil {
 			fail("%v", err)
 			continue
@@ -260,6 +319,7 @@ func (b *Builder) Build() (*Circuit, error) {
 		return nil, err
 	}
 	assignClasses(c)
+	b.shared = true
 	return c, nil
 }
 

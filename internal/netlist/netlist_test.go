@@ -28,6 +28,33 @@ func small(t *testing.T) *Circuit {
 	return c
 }
 
+// TestBuilderReuseAfterBuild: a circuit takes the builder's tables as its
+// own, so definitions after Build, and a second Build, must leave the
+// first circuit as it was built.
+func TestBuilderReuseAfterBuild(t *testing.T) {
+	b := NewBuilder("reuse")
+	b.PI("a")
+	b.Gate("g", logic.OpNot, P("a"))
+	first := b.MustBuild()
+	b.Gate("h", logic.OpAnd, P("g"), P("k"))
+	b.PI("k")
+	second := b.MustBuild()
+	b.Gate("g", logic.OpBuf, P("a")) // a second definition: Build fails
+	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), `node "g" defined twice`) {
+		t.Fatalf("redefinition: err = %v", err)
+	}
+	if first.NumNodes() != 2 || first.Nodes[1].Op != logic.OpNot {
+		t.Fatalf("first circuit changed: %d nodes, g is %v", first.NumNodes(), first.Nodes[1].Op)
+	}
+	if _, ok := first.Lookup("h"); ok {
+		t.Fatal("a later definition reached the first circuit's names")
+	}
+	h := second.MustLookup("h")
+	if second.NumNodes() != 4 || second.Fanin(h)[1].Node != second.MustLookup("k") {
+		t.Fatalf("second circuit: %d nodes, h fanin %v", second.NumNodes(), second.Fanin(h))
+	}
+}
+
 func TestBuildSmall(t *testing.T) {
 	c := small(t)
 	st := c.Stats()

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"repro/internal/atpg"
 	"repro/internal/equiv"
@@ -99,19 +100,26 @@ type atpgValue struct {
 // caching and reported only through the producing request's ATPGReuse, so
 // the stored result reads as a pure function of the key).
 func ATPGFingerprint(learnFP string, c *netlist.Circuit, faults []fault.Fault, ropt atpg.RunOptions) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "atpg|learn=%s", learnFP)
 	a := ropt.ATPG.Normalized()
-	fmt.Fprintf(h, "|mode=%d bt=%d win=%v fill=%d cross=%t compact=%t",
-		a.Mode, a.BacktrackLimit, a.Windows, a.FillSeed, a.UseCrossFrame, ropt.CompactTests)
+	b := fmt.Appendf(nil, "atpg|learn=%s|mode=%d bt=%d win=%v fill=%d cross=%t compact=%t",
+		learnFP, a.Mode, a.BacktrackLimit, a.Windows, a.FillSeed, a.UseCrossFrame, ropt.CompactTests)
 	for _, f := range ropt.PreUntestable {
-		fmt.Fprintf(h, "|pre=%s/%s", c.NameOf(f.Node), f.Stuck)
+		b = appendFault(append(b, "|pre="...), c, f)
 	}
-	fmt.Fprintf(h, "|faults=%d", len(faults))
+	b = append(b, "|faults="...)
+	b = strconv.AppendInt(b, int64(len(faults)), 10)
 	for _, f := range faults {
-		fmt.Fprintf(h, "|%s/%s", c.NameOf(f.Node), f.Stuck)
+		b = appendFault(append(b, '|'), c, f)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// appendFault appends "name/stuck", e.g. "G9/1".
+func appendFault(b []byte, c *netlist.Circuit, f fault.Fault) []byte {
+	b = append(b, c.NameOf(f.Node)...)
+	b = append(b, '/')
+	return append(b, f.Stuck.String()...)
 }
 
 // PISignature returns the circuit's primary-input names in declaration

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -57,26 +58,28 @@ type commentStripper struct {
 }
 
 func (cs *commentStripper) Write(p []byte) (int, error) {
-	start := 0
-	for i, b := range p {
-		switch {
-		case cs.inComment:
-			if b == '\n' {
-				cs.inComment = false
-				start = i // keep the newline
+	for i := 0; i < len(p); {
+		if cs.inComment {
+			j := bytes.IndexByte(p[i:], '\n')
+			if j < 0 {
+				break
 			}
-		case b == '#':
-			if start < i {
-				if _, err := cs.w.Write(p[start:i]); err != nil {
-					return i, err
-				}
-			}
-			cs.inComment = true
+			cs.inComment = false
+			i += j // keep the newline
+			continue
 		}
-	}
-	if !cs.inComment && start < len(p) {
-		if _, err := cs.w.Write(p[start:]); err != nil {
-			return start, err
+		j := bytes.IndexByte(p[i:], '#')
+		if j < 0 {
+			j = len(p) - i
+		}
+		if j > 0 {
+			if _, err := cs.w.Write(p[i : i+j]); err != nil {
+				return i, err
+			}
+		}
+		if i += j; i < len(p) {
+			cs.inComment = true
+			i++
 		}
 	}
 	return len(p), nil
