@@ -1,8 +1,13 @@
 package bench
 
 import (
+	"bytes"
+	"errors"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/circuits"
 	"repro/internal/logic"
@@ -71,6 +76,50 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse("bad", strings.NewReader("INPUT(a)\nINPUT(b)\n"+src)); err == nil {
 			t.Errorf("no error for %q", src)
 		}
+	}
+}
+
+// TestParseBlankTextAllocates: blank and comment lines cost nothing past
+// reading the text, so 8 MiB of newlines or of short comments allocates
+// what reading it into a buffer does plus the capped size hint, not a
+// node per line.
+func TestParseBlankTextAllocates(t *testing.T) {
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const size = 8 << 20
+	for _, line := range []string{"\n", "#\n", " # x\r\n"} {
+		text := strings.Repeat(line, size/len(line))
+		read := allocated(func() {
+			var buf bytes.Buffer
+			if _, err := buf.ReadFrom(strings.NewReader(text)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		var err error
+		parse := allocated(func() { _, err = Parse("blank", strings.NewReader(text)) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if parse > read+4<<20 {
+			t.Errorf("%d lines of %q: Parse allocated %d bytes, reading the text %d",
+				size/len(line), line, parse, read)
+		}
+	}
+}
+
+// TestParseReadError: a read error, such as a body cut at its size limit,
+// fails Parse with that error, not with a syntax error on the cut line.
+func TestParseReadError(t *testing.T) {
+	cut := errors.New("body too large")
+	r := io.MultiReader(strings.NewReader("INPUT(a)\nINPUT(b)\ng = AND(a, b"), iotest.ErrReader(cut))
+	c, err := Parse("cut", r)
+	if c != nil || !errors.Is(err, cut) || err.Error() != "bench: body too large" {
+		t.Fatalf("Parse = %v, %v; want the read error", c, err)
 	}
 }
 

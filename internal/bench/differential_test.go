@@ -140,6 +140,65 @@ func FuzzParseMatchesReference(f *testing.F) {
 	})
 }
 
+// TestBuildErrorsMatchParent pins the builder's error text, as the
+// builder before the byte parser produced it, for undefined, doubly
+// defined and cyclic nets, set/reset/port misuse and arity. The
+// differential fuzz runs both parsers on the current builder, so it
+// cannot see a change here.
+func TestBuildErrorsMatchParent(t *testing.T) {
+	for _, tc := range []struct{ text, want string }{
+		{"INPUT(a)\ny = AND(a, b)\nOUTPUT(y)\n",
+			"gate y references undefined net \"b\""},
+		{"q = DFF(z)\n",
+			"element q references undefined net \"z\""},
+		{"l = LATCH(!z) @clk1:1\n",
+			"element l references undefined net \"z\""},
+		{"INPUT(a)\nq = DFF(a)\nSET(q, z)\n",
+			"set of q references undefined net \"z\""},
+		{"INPUT(a)\nq = DFF(a)\nRESET(q, !z)\n",
+			"reset of q references undefined net \"z\""},
+		{"INPUT(a)\nl = LATCH(a)\nPORT(l, e, a)\nPORT(l, a, d)\nPORT(l, e, d)\n",
+			"port enable of l references undefined net \"e\"; port data of l references undefined net \"d\"; port enable of l references undefined net \"e\"; port data of l references undefined net \"d\""},
+		{"OUTPUT(z)\nOUTPUT(!w)\n",
+			"output out_z references undefined net \"z\"; output out_w references undefined net \"w\""},
+		{"INPUT(a)\nINPUT(a)\n",
+			"node \"a\" defined twice"},
+		{"INPUT(a)\ny = NOT(a)\ny = BUF(a)\n",
+			"node \"y\" defined twice"},
+		{"INPUT(a)\nq = DFF(a)\nq = LATCH(a)\nq = NOT(a)\n",
+			"node \"q\" defined twice; node \"q\" defined twice"},
+		{"INPUT(a)\nx = AND(a, y)\ny = NOT(x)\n",
+			"combinational cycle through gate \"x\""},
+		{"INPUT(a)\ny = NOT(y)\n",
+			"combinational cycle through gate \"y\""},
+		{"INPUT(a)\nx = AND(a, y)\ny = NOT(x)\nz = BUF(z)\nw = OR(a, z)\n",
+			"combinational cycle through gate \"x\""},
+		{"INPUT(a)\nq = DFF(g)\ng = AND(q, a)\nh = AND(g, h2)\nh2 = NOT(h)\n",
+			"combinational cycle through gate \"h\""},
+		{"INPUT(a)\ng = NOT(a)\nSET(g, a)\n",
+			"SetNet: \"g\" is not a defined sequential element"},
+		{"INPUT(a)\nRESET(a, a)\n",
+			"ResetNet: \"a\" is not a defined sequential element"},
+		{"INPUT(a)\nPORT(nope, a, a)\n",
+			"AddPort: \"nope\" is not a defined sequential element"},
+		{"INPUT(a)\nSET(q, a)\nq = DFF(a)\n",
+			"SetNet: \"q\" is not a defined sequential element"},
+		{"INPUT(a)\ny = NOT(a, a)\nc = CONST0(a)\nd = CONST1(a, a)\nb = BUF()\n",
+			"gate \"y\": NOT requires exactly 1 input, got 2; gate \"c\": CONST0 takes no inputs; gate \"d\": CONST1 takes no inputs; gate \"b\": BUF requires exactly 1 input, got 0"},
+		{"y = AND()\n",
+			"gate \"y\": AND requires inputs"},
+		{"INPUT(a)\ng = AND(a, u1, u2, u3, u4, u5)\nh = OR(u6, u7, u8, u9)\n",
+			"gate g references undefined net \"u1\"; gate g references undefined net \"u2\"; gate g references undefined net \"u3\"; gate g references undefined net \"u4\"; gate g references undefined net \"u5\"; gate h references undefined net \"u6\"; gate h references undefined net \"u7\"; gate h references undefined net \"u8\"; (+1 more)"},
+		{"INPUT(a)\ny = AND(a, b)\ny = OR(a, c)\nq = DFF(d)\nSET(q, e)\nSET(y, a)\nOUTPUT(f)\n",
+			"node \"y\" defined twice; SetNet: \"y\" is not a defined sequential element; gate y references undefined net \"c\"; element q references undefined net \"d\"; set of q references undefined net \"e\"; output out_f references undefined net \"f\""},
+	} {
+		_, err := Parse("errs", strings.NewReader(tc.text))
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Parse(%q):\ngot  %v\nwant %s", tc.text, err, tc.want)
+		}
+	}
+}
+
 // TestParseLineLimit pins the 1 MiB line limit: a line of maxLine-1 bytes
 // (before its newline) parses, a line of maxLine bytes fails with
 // bufio.ErrTooLong, with or without a final newline and behind an

@@ -62,7 +62,7 @@ func NewBuilder(name string) *Builder {
 }
 
 // Grow makes room for nodes more nodes and pins more gate pins, so that a
-// reader which can count its input ahead does not regrow the builder.
+// reader which can estimate its input's size does not regrow the builder.
 func (b *Builder) Grow(nodes, pins int) {
 	b.nodes = slices.Grow(b.nodes, nodes)
 	b.pins = slices.Grow(b.pins, pins)
@@ -104,17 +104,12 @@ func (b *Builder) RefBytes(name []byte, inv bool) Ref {
 // (Build fails).
 func (b *Builder) define(name string, kind Kind) NodeID {
 	b.own()
-	// One map write per node instead of a probe and a write: the map
-	// keeps its size only when the name was taken, and the first
-	// definition's id then goes back.
-	id, size := NodeID(len(b.nodes)), len(b.ids)
-	b.ids[name] = id
-	if len(b.ids) == size {
-		first := NodeID(slices.IndexFunc(b.nodes, func(n Node) bool { return n.Name == name }))
-		b.ids[name] = first
+	if first, ok := b.ids[name]; ok {
 		b.errs = append(b.errs, fmt.Errorf("node %q defined twice", name))
 		return first
 	}
+	id := NodeID(len(b.nodes))
+	b.ids[name] = id
 	at := int32(len(b.pins))
 	b.nodes = append(b.nodes, Node{Name: name, Kind: kind, FaninStart: at, FaninEnd: at})
 	return id

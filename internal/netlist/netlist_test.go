@@ -1,8 +1,10 @@
 package netlist
 
 import (
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/logic"
 )
@@ -139,6 +141,30 @@ func TestDoubleDefinition(t *testing.T) {
 	_, err := b.Build()
 	if err == nil || !strings.Contains(err.Error(), "defined twice") {
 		t.Fatalf("expected double-definition error, got %v", err)
+	}
+}
+
+// TestManyDoubleDefinitions: a repeated definition costs one name lookup,
+// however many nets came before it. 100k nets, each defined twice in
+// reverse order, build in well under the time a scan of the nets per
+// repeat (1e10 name comparisons) would take.
+func TestManyDoubleDefinitions(t *testing.T) {
+	const n = 100_000
+	start := time.Now()
+	b := NewBuilder("dups")
+	for i := range n {
+		b.PI("n" + strconv.Itoa(i))
+	}
+	for i := n - 1; i >= 0; i-- {
+		b.Gate("n"+strconv.Itoa(i), logic.OpNot, P("n0"))
+	}
+	_, err := b.Build()
+	if err == nil || !strings.Contains(err.Error(), `node "n99999" defined twice`) ||
+		!strings.HasSuffix(err.Error(), "(+99992 more)") {
+		t.Fatalf("err = %.200v", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("%d repeated definitions took %v", n, d)
 	}
 }
 

@@ -280,6 +280,26 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestBodyOverLimit: a netlist cut at MaxBodyBytes is rejected with the
+// size error, not with a syntax error on the line the cut split.
+func TestBodyOverLimit(t *testing.T) {
+	body := benchText(t, circuits.Figure2())
+	ts := httptest.NewServer(New(Config{MaxBodyBytes: int64(len(body) - 5)}))
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/learn", "text/plain", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || out.Error != "bench: http: request body too large" {
+		t.Fatalf("status %d, error %q; want 400 and the size error", resp.StatusCode, out.Error)
+	}
+}
+
 // TestSizeParamsBounded checks the query decoders reject negative and
 // over-cap size parameters before any handler sizes an allocation or a
 // loop from them. Unbounded, max_window=2^63-1 makes the window doubling
