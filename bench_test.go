@@ -22,6 +22,7 @@ import (
 	"repro/internal/imply"
 	"repro/internal/learn"
 	"repro/internal/logic"
+	"repro/internal/netlist"
 	"repro/internal/sim"
 )
 
@@ -376,6 +377,54 @@ func BenchmarkParallelATPG(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkATPGCampaign times the atpg-campaign workload's ATPG on its own,
+// without the benchmark harness: the whole collapsed fault lists of s953
+// and s1423 with seqatpg's -compact options (forbidden mode, 30 backtracks,
+// windows 1/2/4/8, fixed fill seed) at one worker, learning done outside
+// the timer. Every iteration must reproduce the campaign's counts, so an
+// A/B of two revisions compares identical work.
+func BenchmarkATPGCampaign(b *testing.B) {
+	type campaign struct {
+		c                          *netlist.Circuit
+		opt                        atpg.RunOptions
+		backtracks, targets, tests int
+	}
+	var runs []campaign
+	for _, w := range []struct {
+		name                       string
+		backtracks, targets, tests int
+	}{{"s953", 19988, 587, 6}, {"s1423", 40153, 1010, 8}} {
+		c := gen.MustBuild(w.name)
+		lr := learn.Learn(c, learn.Options{})
+		faults, _ := fault.Collapse(c)
+		runs = append(runs, campaign{c, atpg.RunOptions{
+			Faults:       faults,
+			Parallelism:  1,
+			CompactTests: true,
+			ATPG: atpg.Options{
+				BacktrackLimit: 30,
+				Windows:        []int{1, 2, 4, 8},
+				Mode:           atpg.ModeForbidden,
+				DB:             lr.DB,
+				Ties:           append(append([]learn.Tie{}, lr.CombTies...), lr.SeqTies...),
+				FillSeed:       0x7e57,
+			},
+		}, w.backtracks, w.targets, w.tests})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range runs {
+			res := atpg.Run(r.c, r.opt)
+			if res.Backtracks != r.backtracks || res.PodemTargets != r.targets || len(res.Tests) != r.tests || res.VerifyFailures != 0 {
+				b.Fatalf("%s: backtracks %d targets %d tests %d verify failures %d, want %d %d %d 0",
+					r.c.Name, res.Backtracks, res.PodemTargets, len(res.Tests), res.VerifyFailures,
+					r.backtracks, r.targets, r.tests)
+			}
+		}
 	}
 }
 

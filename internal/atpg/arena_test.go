@@ -55,17 +55,15 @@ func arenaConfigs(c *netlist.Circuit, lr *learn.Result) []arenaConfig {
 }
 
 // checkIdle asserts the arena is back in its idle state: all-X values, no
-// forbidden marks, no queued flags, and an empty trail, worklist and
-// decision stack.
+// forbidden marks, no queued or derived flags, and an empty trail,
+// worklist and decision stack.
 func checkIdle(t *testing.T, a *arena) {
 	t.Helper()
 	e := a.e
-	for tf := range e.values {
-		for n := range e.values[tf] {
-			if e.values[tf][n] != logic.X5 || e.forb[tf][n] != 0 || e.queued[tf][n] {
-				t.Fatalf("frame %d node %s left dirty: value %v forb %d queued %v",
-					tf, e.c.NameOf(netlist.NodeID(n)), e.values[tf][n], e.forb[tf][n], e.queued[tf][n])
-			}
+	for i, c := range e.cells {
+		if c != 0 {
+			t.Fatalf("frame %d node %s left dirty: value %v forb %d flags %02b",
+				i/e.n, e.c.NameOf(netlist.NodeID(i%e.n)), c.val(), c.forb(), c>>5)
 		}
 	}
 	if len(e.trail) != 0 || len(e.queue) != 0 || len(a.stack) != 0 || len(e.dfront) != 0 || e.conflict {
@@ -74,18 +72,26 @@ func checkIdle(t *testing.T, a *arena) {
 	}
 }
 
-// checkForbidden asserts the cell invariant the implication fast path
-// relies on: no cell holds a good value one of its forbidden bits rules
-// out. Every cell write is trailed, so checking the trailed cells covers
+// checkForbidden asserts the cell invariants the implication fast paths
+// rely on: no cell holds a good value one of its forbidden bits rules out,
+// and every derived cell (one push skips) re-evaluates to the value it
+// holds. Every cell write is trailed, so checking the trailed cells covers
 // the whole model.
 func checkForbidden(t *testing.T, e *expanded) {
 	t.Helper()
 	for _, te := range e.trail {
-		at := te.at
-		v, forb := e.values[at.t][at.n], e.forb[at.t][at.n]
+		at := e.fnodeOf(te)
+		c := e.cellAt(at)
+		v, forb := c.val(), c.forb()
 		if g := v.Good(); (g == logic.Zero && forb&1 != 0) || (g == logic.One && forb&2 != 0) {
 			t.Fatalf("frame %d node %s holds %v but is forbidden %02b",
 				at.t, e.c.NameOf(at.n), v, forb)
+		}
+		if c&cellDerived != 0 {
+			if got := e.evalCell(at); got != v {
+				t.Fatalf("frame %d node %s is derived with %v but evaluates to %v",
+					at.t, e.c.NameOf(at.n), v, got)
+			}
 		}
 	}
 }
@@ -249,18 +255,18 @@ func TestForbiddenMarkOnKnownConsequent(t *testing.T) {
 	e := newArena(c, &opt).e
 	e.setFault(fault.Fault{Node: c.MustLookup("o"), Stuck: logic.Zero}, &opt)
 	e.w = 1
-	if !e.init() || e.values[0][g] != logic.One5 {
-		t.Fatalf("setup: tie not asserted, g = %v", e.values[0][g])
+	if !e.init() || e.cellAt(fnode{0, g}).val() != logic.One5 {
+		t.Fatalf("setup: tie not asserted, g = %v", e.cellAt(fnode{0, g}).val())
 	}
 	if !e.assignPI(fnode{0, x}, logic.One) {
 		t.Fatal("x=1 conflicted")
 	}
-	if e.forb[0][g] != 1 {
-		t.Errorf("g forbidden bits %02b, want 01 (must not be 0)", e.forb[0][g])
+	if e.cellAt(fnode{0, g}).forb() != 1 {
+		t.Errorf("g forbidden bits %02b, want 01 (must not be 0)", e.cellAt(fnode{0, g}).forb())
 	}
 	for _, in := range []string{"a", "b"} {
-		if n := c.MustLookup(in); e.forb[0][n] != 1 {
-			t.Errorf("fanin %s forbidden bits %02b, want 01 (must not be 0)", in, e.forb[0][n])
+		if n := c.MustLookup(in); e.cellAt(fnode{0, n}).forb() != 1 {
+			t.Errorf("fanin %s forbidden bits %02b, want 01 (must not be 0)", in, e.cellAt(fnode{0, n}).forb())
 		}
 	}
 }

@@ -168,10 +168,13 @@ type Result struct {
 
 // Generate runs PODEM for fault f over growing windows. Each call builds a
 // private search arena (and relation index), so concurrent calls are safe;
-// the drivers instead reuse one arena per executor across faults.
+// the drivers instead reuse one arena per executor across faults. One call
+// sees each window's tie closure once, so its arena caches none.
 func Generate(c *netlist.Circuit, f fault.Fault, opt Options) Result {
 	opt.prepare(c)
-	return newArena(c, &opt).generate(f, &opt)
+	a := newArena(c, &opt)
+	a.e.closures = nil
+	return a.generate(f, &opt)
 }
 
 // prepare folds in the defaults and compiles the relation index once, for
@@ -179,24 +182,31 @@ func Generate(c *netlist.Circuit, f fault.Fault, opt Options) Result {
 func (o *Options) prepare(c *netlist.Circuit) {
 	o.defaults()
 	o.rels = buildRelIndex(c, o.DB, o.Mode, o.UseCrossFrame)
+	o.rels.keyNodes = closureKeyNodes(c, o.rels, o.Ties, o.Mode)
 }
 
 // relIndex pre-compiles the relations of a DB, filtered by mode, into flat
 // per-literal tables: same-frame consequents with their validity depths,
 // and, only with UseCrossFrame, cross-frame consequents with their frame
-// offsets.
+// offsets. keyNodes lists, in node order, the nodes whose taint a tie
+// closure depends on (see closureCache).
 type relIndex struct {
 	same, cross relTable
+	keyNodes    []netlist.NodeID
 }
 
 // relTable is a CSR list keyed by antecedent literal (litKey): literal k's
-// consequents are tgt[off[k]:off[k+1]], in relation order, each packed by
-// litKey too; arg is its validity depth (same-frame) or frame offset
-// (cross-frame).
+// consequents are ents[off[k]:off[k+1]], in relation order.
 type relTable struct {
-	off []int32
-	tgt []uint32
-	arg []int32
+	off  []int32
+	ents []relEnt
+}
+
+// relEnt is one consequent: the target literal packed by litKey, and its
+// validity depth (same-frame) or frame offset (cross-frame).
+type relEnt struct {
+	tgt uint32
+	arg int32
 }
 
 // litKey packs a literal as node<<1 | val (val 1 = One): its table row,
@@ -265,10 +275,8 @@ func (t *relTable) add(place bool, a, b imply.Lit, arg int32) {
 		t.off[k+1]++
 		return
 	}
-	i := t.off[k]
+	t.ents[t.off[k]] = relEnt{litKey(b), arg}
 	t.off[k]++
-	t.tgt[i] = litKey(b)
-	t.arg[i] = arg
 }
 
 // allocate turns the counts into start offsets and sizes the entries.
@@ -276,9 +284,7 @@ func (t *relTable) allocate() {
 	for k := 1; k < len(t.off); k++ {
 		t.off[k] += t.off[k-1]
 	}
-	n := t.off[len(t.off)-1]
-	t.tgt = make([]uint32, n)
-	t.arg = make([]int32, n)
+	t.ents = make([]relEnt, t.off[len(t.off)-1])
 }
 
 // finish restores the start offsets: placing advanced each off[k] to the
@@ -286,4 +292,29 @@ func (t *relTable) allocate() {
 func (t *relTable) finish() {
 	copy(t.off[1:], t.off[:len(t.off)-1])
 	t.off[0] = 0
+}
+
+// closureKeyNodes lists the nodes whose taint decides what a tie closure
+// asserts: the tie nodes (a tie on a tainted node is skipped) and, in the
+// known and no-learning modes, every relation consequent (applyOne asserts
+// only untainted ones). Forbidden marks ignore taint.
+func closureKeyNodes(c *netlist.Circuit, ri *relIndex, ties []learn.Tie, mode Mode) []netlist.NodeID {
+	key := make([]bool, c.NumNodes())
+	for _, tie := range ties {
+		key[tie.Node] = true
+	}
+	if mode != ModeForbidden {
+		for _, t := range []*relTable{&ri.same, &ri.cross} {
+			for _, r := range t.ents {
+				key[litNode(r.tgt)] = true
+			}
+		}
+	}
+	var nodes []netlist.NodeID
+	for n, k := range key {
+		if k {
+			nodes = append(nodes, netlist.NodeID(n))
+		}
+	}
+	return nodes
 }

@@ -420,7 +420,7 @@ func TestCrossFrameAssertsAcrossWindow(t *testing.T) {
 	if !e.assignPI(fnode{0, c.MustLookup("I2")}, logic.One) {
 		t.Fatal("assign conflict")
 	}
-	if got := e.values[1][c.MustLookup("F3")]; got != logic.Compose(logic.One, logic.One) {
+	if got := e.cellAt(fnode{1, c.MustLookup("F3")}).val(); got != logic.Compose(logic.One, logic.One) {
 		t.Fatalf("F3@1 = %v, want 1 via cross-frame relation", got)
 	}
 }

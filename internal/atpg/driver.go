@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -232,10 +233,14 @@ func Run(c *netlist.Circuit, opt RunOptions) RunResult {
 	} else {
 		a := newArena(c, &st.opt.ATPG)
 		st.merge(func(i int) (Result, bool) { return st.generate(a, i), true })
+		st.addInits(a)
 	}
 
 	st.podemSpan.Add("targets", int64(st.res.PodemTargets))
 	st.podemSpan.Add("backtracks", int64(st.res.Backtracks))
+	st.podemSpan.Add("init_restored", int64(st.inits.restored))
+	st.podemSpan.Add("init_built", int64(st.inits.built))
+	st.podemSpan.Add("init_fallback", int64(st.inits.fallback))
 	if opt.CompactTests && !st.res.Canceled {
 		sp := opt.Span.Start("compact")
 		st.compactTests()
@@ -287,6 +292,11 @@ type runState struct {
 	// unobserved).
 	podemSpan *obs.Span
 
+	// inits sums how the executors' arenas produced their tie closures
+	// (speculative searches included); reported on podemSpan.
+	initsMu sync.Mutex
+	inits   initStats
+
 	res RunResult
 }
 
@@ -321,6 +331,16 @@ func (st *runState) generate(a *arena, i int) Result {
 	g := a.generate(st.faults[i], &opt)
 	st.podemSpan.AddTime(time.Since(start))
 	return g
+}
+
+// addInits folds an executor arena's closure counts into the run's. Safe
+// from parallel workers.
+func (st *runState) addInits(a *arena) {
+	st.initsMu.Lock()
+	defer st.initsMu.Unlock()
+	st.inits.restored += a.e.stats.restored
+	st.inits.built += a.e.stats.built
+	st.inits.fallback += a.e.stats.fallback
 }
 
 // positionOptions derives the generation options of fault-list position i.

@@ -28,8 +28,8 @@ const (
 // v5flags maps a cell to its flags; v5flagsInv does the same through an
 // inverting pin.
 var (
-	v5flags    = [5]uint8{logic.Zero5: g0 | gk | f0 | fk, logic.One5: g1 | gk | f1 | fk, logic.D: g1 | gk | f0 | fk, logic.DBar: g0 | gk | f1 | fk}
-	v5flagsInv = [5]uint8{logic.Zero5: g1 | gk | f1 | fk, logic.One5: g0 | gk | f0 | fk, logic.D: g0 | gk | f1 | fk, logic.DBar: g1 | gk | f0 | fk}
+	v5flags    = [8]uint8{logic.Zero5: g0 | gk | f0 | fk, logic.One5: g1 | gk | f1 | fk, logic.D: g1 | gk | f0 | fk, logic.DBar: g0 | gk | f1 | fk}
+	v5flagsInv = [8]uint8{logic.Zero5: g1 | gk | f1 | fk, logic.One5: g0 | gk | f0 | fk, logic.D: g0 | gk | f1 | fk, logic.DBar: g1 | gk | f0 | fk}
 )
 
 // compose5 composes good and faulty components (logic.Compose): X unless
@@ -40,15 +40,16 @@ var compose5 = [3][3]logic.V5{
 }
 
 // eval5 evaluates op over the fanin pins' cells in vals (one frame of the
-// expanded model), with the semantics of logic.Eval5Slice.
-func eval5(op logic.Op, fanin []netlist.Pin, vals []logic.V5) logic.V5 {
+// expanded model), with the semantics of logic.Eval5Slice. It reads only a
+// cell's low three bits, its value, so a []logic.V5 serves as well.
+func eval5[C ~uint8](op logic.Op, fanin []netlist.Pin, vals []C) logic.V5 {
 	switch op {
 	case logic.OpConst0:
 		return logic.Zero5
 	case logic.OpConst1:
 		return logic.One5
 	case logic.OpBuf, logic.OpNot:
-		v := vals[fanin[0].Node]
+		v := logic.V5(vals[fanin[0].Node] & 7)
 		if fanin[0].Inv != (op == logic.OpNot) {
 			v = v.Not5()
 		}
@@ -56,9 +57,10 @@ func eval5(op logic.Op, fanin []netlist.Pin, vals []logic.V5) logic.V5 {
 	}
 	some, all, par := uint8(0), ^uint8(0), uint8(0)
 	for _, p := range fanin {
-		fl := v5flags[vals[p.Node]]
+		v := vals[p.Node] & 7
+		fl := v5flags[v]
 		if p.Inv {
-			fl = v5flagsInv[vals[p.Node]]
+			fl = v5flagsInv[v]
 		}
 		some |= fl
 		all &= fl

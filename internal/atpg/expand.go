@@ -1,6 +1,11 @@
 package atpg
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
+
 	"repro/internal/fault"
 	"repro/internal/imply"
 	"repro/internal/learn"
@@ -13,15 +18,21 @@ import (
 // window and fault the executor searches: values are monotone within a
 // search (X → known) and every cell write is trailed, so backtracking is a
 // trail rollback and rollback(0) returns the model to its idle state —
-// all-X values, no forbidden marks, an empty trail and worklist.
+// all cells zero (X, no forbidden marks, no flags), an empty trail and
+// worklist.
 type expanded struct {
 	c  *netlist.Circuit
+	n  int // nodes per frame: cell (t, node) is cells[t*n+node]
 	w  int // window size of the current search (frames 0..w-1)
 	f  fault.Fault
 	ri *relIndex
 
 	mode Mode
 	ties []learn.Tie
+	// faultTie is the first frame a tie on the fault node holds from
+	// (math.MaxInt: no such tie); windows past it assert the tie as D or
+	// D̄ in init.
+	faultTie int
 
 	// tainted marks nodes structurally reachable from the fault site
 	// (through any number of frames): on those, learned facts constrain
@@ -30,11 +41,15 @@ type expanded struct {
 	tainted   []bool
 	taintList []netlist.NodeID
 
-	values [][]logic.V5 // [frame][node]
-	forb   [][]uint8    // forbidden-value bits: bit0 = must-not-be-0, bit1 = must-not-be-1
-	queued [][]bool     // [frame][node]: the node is on the worklist
+	// sinks is the circuit's fanout table in CSR form: node m's sinks are
+	// sinks[sinkOff[m]:sinkOff[m+1]], in netlist fanout order, each packed
+	// as out<<1 with the low bit set for a sequential element (evaluated
+	// one frame later).
+	sinkOff []int32
+	sinks   []uint32
 
-	trail    []trailEntry
+	cells    []cell
+	trail    []uint32 // cell index<<2 | forbidden bit (0 for a value entry)
 	conflict bool
 	queue    []fnode // evaluation worklist
 
@@ -43,7 +58,13 @@ type expanded struct {
 	// the D-frontier. Rollback truncates it with the trail.
 	dfront []int
 
-	// settleHook, when set (by tests), runs after every settle.
+	// closures caches tie closures across the faults and windows the
+	// executor searches (nil: init always computes the closure).
+	closures *closureCache
+	stats    initStats
+
+	// settleHook, when set (by tests), runs after every settle and every
+	// restored closure.
 	settleHook func(*expanded)
 }
 
@@ -52,20 +73,95 @@ type fnode struct {
 	n netlist.NodeID
 }
 
-type trailEntry struct {
-	at      fnode
-	forbBit uint8 // 0 for value entries; else the bit that was set
+// cell is one (frame, node) position of the expanded model: its
+// five-valued value in the low bits, then the forbidden marks and the
+// worklist flags. The zero cell is idle: X, unmarked, not queued.
+type cell uint8
+
+const (
+	cellValue   cell = 7      // the logic.V5 value
+	cellNot0    cell = 1 << 3 // forbidden mark: must not be 0
+	cellNot1    cell = 1 << 4 // forbidden mark: must not be 1
+	cellQueued  cell = 1 << 5 // on the worklist
+	cellDerived cell = 1 << 6 // value set by the cell's own evaluation
+
+	// forbShift places a forbidden bit (1 = must-not-be-0, 2 =
+	// must-not-be-1, as trailed) on the cell's marks.
+	forbShift = 3
+)
+
+func (c cell) val() logic.V5 { return logic.V5(c & cellValue) }
+
+// forb returns the forbidden bits: bit0 = must-not-be-0, bit1 =
+// must-not-be-1.
+func (c cell) forb() uint8 { return uint8(c>>forbShift) & 3 }
+
+// initStats counts how init produced each tie closure: restored from a
+// snapshot, or computed (fallback), in which case it may also have been
+// recorded as a new snapshot (built).
+type initStats struct {
+	restored, built, fallback int
+}
+
+// newExpanded allocates an idle model of maxW frames of c.
+func newExpanded(c *netlist.Circuit, maxW int) *expanded {
+	n := c.NumNodes()
+	if uint64(maxW)*uint64(n) > 1<<30 {
+		panic(fmt.Sprintf("atpg: %d frames of %d nodes exceed the model's 2^30 cells", maxW, n))
+	}
+	e := &expanded{
+		c:       c,
+		n:       n,
+		tainted: make([]bool, n),
+		cells:   make([]cell, maxW*n),
+		sinkOff: make([]int32, n+1),
+	}
+	for m := range n {
+		for _, out := range c.Fanouts(netlist.NodeID(m)) {
+			s := uint32(out) << 1
+			if c.Nodes[out].Seq != nil {
+				s |= 1
+			}
+			e.sinks = append(e.sinks, s)
+		}
+		e.sinkOff[m+1] = int32(len(e.sinks))
+	}
+	return e
+}
+
+// index returns the cell index of a frame node.
+func (e *expanded) index(at fnode) int { return at.t*e.n + int(at.n) }
+
+// cellAt returns the cell of a frame node.
+func (e *expanded) cellAt(at fnode) cell { return e.cells[at.t*e.n+int(at.n)] }
+
+// fnodeOf returns the frame node of a trail entry.
+func (e *expanded) fnodeOf(te uint32) fnode {
+	i := int(te >> 2)
+	return fnode{i / e.n, netlist.NodeID(i % e.n)}
+}
+
+// sinksOf returns node m's packed sinks.
+func (e *expanded) sinksOf(m netlist.NodeID) []uint32 {
+	return e.sinks[e.sinkOff[m]:e.sinkOff[m+1]]
 }
 
 // setFault binds the model to a fault and the options' learned data, and
 // marks the fault's taint cone: every node reachable from the site,
 // crossing sequential elements any number of times. The cone does not
-// depend on the window, so it is computed once per fault.
+// depend on the window, so it is computed once per fault, and so is the
+// part of the closure cache key it determines.
 func (e *expanded) setFault(f fault.Fault, opt *Options) {
 	e.f = f
 	e.mode = opt.Mode
 	e.ties = opt.Ties
 	e.ri = opt.rels
+	e.faultTie = math.MaxInt
+	for _, tie := range e.ties {
+		if tie.Node == f.Node {
+			e.faultTie = min(e.faultTie, tie.Frame)
+		}
+	}
 	for _, n := range e.taintList {
 		e.tainted[n] = false
 	}
@@ -79,11 +175,44 @@ func (e *expanded) setFault(f fault.Fault, opt *Options) {
 			}
 		}
 	}
+	if e.closures != nil {
+		e.closures.setKey(e.ri, e.tainted)
+	}
 }
 
-// init asserts ties and schedules the fault site, returning false on
-// immediate conflict.
+// init asserts ties and settles them — the window's tie closure — and
+// returns false on conflict. With a closure cache it restores the closure
+// from a snapshot when one applies and records a snapshot the second time
+// a key is seen; the model ends in the same state either way (see
+// closureCache).
 func (e *expanded) init() bool {
+	cc := e.closures
+	if cc == nil || e.faultTie < e.w {
+		e.stats.fallback++
+		return e.closure()
+	}
+	s, seen := cc.lookup(e.w)
+	if s != nil {
+		if e.restore(s) {
+			e.stats.restored++
+			return true
+		}
+		e.rollback(0)
+	}
+	e.stats.fallback++
+	ok := e.closure()
+	switch {
+	case !seen:
+		cc.snaps[string(cc.key)] = nil
+	case s == nil && ok && len(e.dfront) == 0:
+		cc.snaps[string(cc.key)] = record(e)
+		e.stats.built++
+	}
+	return ok
+}
+
+// closure asserts the ties that hold in the window and settles them.
+func (e *expanded) closure() bool {
 	for _, tie := range e.ties {
 		for t := tie.Frame; t < e.w; t++ {
 			at := fnode{t, tie.Node}
@@ -106,39 +235,134 @@ func (e *expanded) init() bool {
 	return e.settle()
 }
 
+// closureCache keeps one executor's tie closures as snapshots: the trail
+// entries a settled closure wrote, with the cell bits each set, replayed
+// by restore instead of asserting and settling the ties again.
+//
+// A closure depends on the window, on which ties are asserted (those on
+// untainted nodes) and, in the known and no-learning modes, on which
+// relation consequents are asserted (applyOne skips tainted ones). The key
+// is the window plus the taint bits of exactly those nodes (relIndex.
+// keyNodes); no other part of the closure reads the fault, except the
+// fault site itself. A snapshot is recorded only from a closure that
+// created no fault effect (dfront empty) for a fault with no tie asserted
+// on its node in the window: there every fault-site evaluation gave a good
+// value equal to the stuck value, or X, so the closure is exactly the
+// fault-free one. It is restored only under the same two conditions for
+// the new fault — no tie asserted on its node, and no fault-site cell of
+// the snapshot with a known good value ≠ stuck — so the new fault's
+// closure is that same fault-free fixpoint, which is unique whatever the
+// evaluation order. Otherwise, and whenever the closure conflicts, init
+// computes the closure.
+type closureCache struct {
+	ri    *relIndex               // the compiled options the snapshots hold for
+	key   []byte                  // window (4 bytes), then the current fault's key bits
+	snaps map[string]*closureSnap // by key; nil for a key seen once
+}
+
+// closureSnap is one recorded closure: its trail entries, and the cell
+// bits each entry sets.
+type closureSnap struct {
+	ents []uint32
+	bits []cell
+}
+
+// setKey fills the key bits from the taint marks of ri's key nodes,
+// dropping every snapshot if ri is not the index they were built under (a
+// new cache holds none).
+func (cc *closureCache) setKey(ri *relIndex, tainted []bool) {
+	if cc.ri != ri {
+		*cc = closureCache{ri: ri, snaps: map[string]*closureSnap{}, key: make([]byte, 4+(len(ri.keyNodes)+7)/8)}
+	}
+	bits := cc.key[4:]
+	clear(bits)
+	for i, n := range ri.keyNodes {
+		if tainted[n] {
+			bits[i>>3] |= 1 << (i & 7)
+		}
+	}
+}
+
+// lookup completes the key with window w and returns its snapshot, if
+// recorded, and whether the key was seen before.
+func (cc *closureCache) lookup(w int) (*closureSnap, bool) {
+	binary.LittleEndian.PutUint32(cc.key, uint32(w))
+	s, ok := cc.snaps[string(cc.key)]
+	return s, ok
+}
+
+// record copies the settled closure in e into a snapshot.
+func record(e *expanded) *closureSnap {
+	s := &closureSnap{ents: slices.Clone(e.trail), bits: make([]cell, len(e.trail))}
+	for i, te := range s.ents {
+		if bit := te & 3; bit != 0 {
+			s.bits[i] = cell(bit) << forbShift
+		} else {
+			s.bits[i] = e.cells[te>>2] & (cellValue | cellDerived)
+		}
+	}
+	return s
+}
+
+// restore replays a snapshot onto the idle model and reports whether it
+// applies to the current fault: no fault-site cell may hold a known good
+// value other than the stuck value. On false the caller rolls back.
+func (e *expanded) restore(s *closureSnap) bool {
+	for i, te := range s.ents {
+		e.cells[te>>2] |= s.bits[i]
+	}
+	e.trail = append(e.trail, s.ents...)
+	for t := 0; t < e.w; t++ {
+		if g := e.cellAt(fnode{t, e.f.Node}).val().Good(); g.Known() && g != e.f.Stuck {
+			return false
+		}
+	}
+	if e.settleHook != nil {
+		e.settleHook(e)
+	}
+	return true
+}
+
 // assign sets a value, detects conflicts (including forbidden marks) and
 // triggers consequences. X assignments are ignored.
 func (e *expanded) assign(at fnode, v logic.V5) bool {
+	return e.set(at, v, 0)
+}
+
+// set is assign with the flag the written cell gets: cellDerived when v is
+// the cell's own evaluation, else 0.
+func (e *expanded) set(at fnode, v logic.V5, flag cell) bool {
 	if v == logic.X5 || e.conflict {
 		return !e.conflict
 	}
-	cur := e.values[at.t][at.n]
-	if cur == v {
+	i := e.index(at)
+	c := e.cells[i]
+	if cur := c.val(); cur == v {
 		return true
-	}
-	if cur != logic.X5 {
+	} else if cur != logic.X5 {
 		e.conflict = true
 		return false
 	}
 	// Forbidden-value check: a binary value hitting its forbidden mark is
 	// a conflict discovered early (the paper's main pruning effect).
-	if g := v.Good(); g.Known() {
-		bit := uint8(1)
+	g := v.Good()
+	if g.Known() {
+		mark := cellNot0
 		if g == logic.One {
-			bit = 2
+			mark = cellNot1
 		}
-		if e.forb[at.t][at.n]&bit != 0 {
+		if c&mark != 0 {
 			e.conflict = true
 			return false
 		}
 	}
-	e.values[at.t][at.n] = v
+	e.cells[i] = c | cell(v) | flag
 	if v.Faulted() {
 		e.dfront = append(e.dfront, len(e.trail))
 	}
-	e.trail = append(e.trail, trailEntry{at: at})
+	e.trail = append(e.trail, uint32(i)<<2)
 	e.enqueueFanouts(at)
-	if g := v.Good(); g.Known() {
+	if g.Known() {
 		if !e.applyRelations(at, g) {
 			return false
 		}
@@ -147,11 +371,11 @@ func (e *expanded) assign(at fnode, v logic.V5) bool {
 }
 
 func (e *expanded) enqueueFanouts(at fnode) {
-	for _, out := range e.c.Fanouts(at.n) {
-		nd := &e.c.Nodes[out]
-		if nd.Kind == netlist.KindGate {
+	for _, s := range e.sinksOf(at.n) {
+		out := netlist.NodeID(s >> 1)
+		if s&1 == 0 {
 			e.push(fnode{at.t, out})
-		} else if nd.Seq != nil && at.t+1 < e.w {
+		} else if at.t+1 < e.w {
 			e.push(fnode{at.t + 1, out})
 		}
 	}
@@ -159,9 +383,16 @@ func (e *expanded) enqueueFanouts(at fnode) {
 	// its frame; its fanouts were pushed above.
 }
 
+// push queues a cell for evaluation unless it is queued already or holds
+// a value its own evaluation derived: evaluation is monotone as inputs
+// turn known, so re-evaluating a derived cell returns the value it holds.
+// Dropping such a no-op pop leaves the order of every other pop, and so
+// every trail and D-frontier, unchanged. Cells set by a tie or a relation
+// are still re-evaluated: that is their conflict check.
 func (e *expanded) push(at fnode) {
-	if !e.queued[at.t][at.n] {
-		e.queued[at.t][at.n] = true
+	i := e.index(at)
+	if e.cells[i]&(cellQueued|cellDerived) == 0 {
+		e.cells[i] |= cellQueued
 		e.queue = append(e.queue, at)
 	}
 }
@@ -187,30 +418,26 @@ func (e *expanded) applyRelations(at fnode, g logic.V) bool {
 	// machine.
 	k := litKey(imply.Lit{Node: at.n, Val: g})
 	same := &e.ri.same
-	lo, hi := same.off[k], same.off[k+1]
 	t := int32(at.t)
+	frame := e.cells[at.t*e.n : (at.t+1)*e.n]
 	if e.mode == ModeForbidden {
-		forb := e.forb[at.t]
-		for i := lo; i < hi; i++ {
-			tg := same.tgt[i]
-			// bit of ¬w: must-not-be-0 (1) for w = 1, must-not-be-1 (2)
-			// for w = 0.
-			if t < same.arg[i] || forb[litNode(tg)]&(2>>(tg&1)) != 0 {
+		for _, r := range same.ents[same.off[k]:same.off[k+1]] {
+			// The mark of ¬w: must-not-be-0 for w = 1, must-not-be-1 for
+			// w = 0.
+			if t < r.arg || frame[litNode(r.tgt)]&(cellNot1>>(r.tgt&1)) != 0 {
 				continue // not enough history in this window, or settled
 			}
-			if !e.applyOne(fnode{at.t, litNode(tg)}, litVal(tg)) {
+			if !e.applyOne(fnode{at.t, litNode(r.tgt)}, litVal(r.tgt)) {
 				return false
 			}
 		}
 	} else {
-		vals := e.values[at.t]
-		for i := lo; i < hi; i++ {
-			tg := same.tgt[i]
-			w := litVal(tg)
-			if t < same.arg[i] || vals[litNode(tg)].Good() == w {
+		for _, r := range same.ents[same.off[k]:same.off[k+1]] {
+			w := litVal(r.tgt)
+			if t < r.arg || frame[litNode(r.tgt)].val().Good() == w {
 				continue
 			}
-			if !e.applyOne(fnode{at.t, litNode(tg)}, w) {
+			if !e.applyOne(fnode{at.t, litNode(r.tgt)}, w) {
 				return false
 			}
 		}
@@ -219,13 +446,12 @@ func (e *expanded) applyRelations(at fnode, g logic.V) bool {
 	// different frame; the in-window bound implies enough history for the
 	// direct relations learning stores.
 	cross := &e.ri.cross
-	for i := cross.off[k]; i < cross.off[k+1]; i++ {
-		ft := at.t + int(cross.arg[i])
+	for _, r := range cross.ents[cross.off[k]:cross.off[k+1]] {
+		ft := at.t + int(r.arg)
 		if ft < 0 || ft >= e.w {
 			continue
 		}
-		tg := cross.tgt[i]
-		if !e.applyOne(fnode{ft, litNode(tg)}, litVal(tg)) {
+		if !e.applyOne(fnode{ft, litNode(r.tgt)}, litVal(r.tgt)) {
 			return false
 		}
 	}
@@ -235,8 +461,7 @@ func (e *expanded) applyRelations(at fnode, g logic.V) bool {
 // applyOne fires a single implied literal at a frame node according to the
 // learning-use mode.
 func (e *expanded) applyOne(m fnode, w logic.V) bool {
-	cur := e.values[m.t][m.n]
-	if cg := cur.Good(); cg.Known() && cg != w {
+	if cg := e.cellAt(m).val().Good(); cg.Known() && cg != w {
 		e.conflict = true // good-machine contradiction
 		return false
 	}
@@ -264,34 +489,39 @@ func (e *expanded) markForbidden(at fnode, v logic.V) bool {
 	if e.conflict {
 		return false
 	}
-	bit := uint8(1)
+	bit := uint32(1)
 	if v == logic.One {
 		bit = 2
 	}
-	if e.forb[at.t][at.n]&bit != 0 {
+	i := e.index(at)
+	c := e.cells[i]
+	mark := cell(bit) << forbShift
+	if c&mark != 0 {
 		return true // already marked
 	}
 	// A known value equal to the newly forbidden one is a conflict.
-	if g := e.values[at.t][at.n].Good(); g.Known() && g == v {
+	if g := c.val().Good(); g.Known() && g == v {
 		e.conflict = true
 		return false
 	}
-	e.forb[at.t][at.n] |= bit
-	e.trail = append(e.trail, trailEntry{at: at, forbBit: bit})
-	if e.forb[at.t][at.n] == 3 {
+	c |= mark
+	e.cells[i] = c
+	e.trail = append(e.trail, uint32(i)<<2|bit)
+	if c&(cellNot0|cellNot1) == cellNot0|cellNot1 {
 		e.conflict = true // nothing left for the node to be
 		return false
 	}
-	e.propagateForbidden(at)
+	e.propagateForbidden(at, c)
 	return !e.conflict
 }
 
-// propagateForbidden pushes a mark backward through unique-justification
-// structures and both ways through buffers/inverters and flip-flops.
-func (e *expanded) propagateForbidden(at fnode) {
+// propagateForbidden pushes the marks of cell c at a frame node backward
+// through unique-justification structures and both ways through
+// buffers/inverters and flip-flops.
+func (e *expanded) propagateForbidden(at fnode, c cell) {
 	nd := &e.c.Nodes[at.n]
-	mustNot0 := e.forb[at.t][at.n]&1 != 0 // node must be 1 if binary
-	mustNot1 := e.forb[at.t][at.n]&2 != 0
+	mustNot0 := c&cellNot0 != 0 // node must be 1 if binary
+	mustNot1 := c&cellNot1 != 0
 
 	markPin := func(t int, p netlist.Pin, v logic.V) {
 		if p.Inv {
@@ -351,8 +581,8 @@ func (e *expanded) settle() bool {
 	for len(e.queue) > 0 && !e.conflict {
 		at := e.queue[len(e.queue)-1]
 		e.queue = e.queue[:len(e.queue)-1]
-		e.queued[at.t][at.n] = false
-		e.eval(at)
+		e.cells[e.index(at)] &^= cellQueued
+		e.set(at, e.evalCell(at), cellDerived)
 	}
 	if e.settleHook != nil {
 		e.settleHook(e)
@@ -360,26 +590,27 @@ func (e *expanded) settle() bool {
 	return !e.conflict
 }
 
-// eval computes the value of a gate or a sequential capture.
-func (e *expanded) eval(at fnode) {
+// evalCell computes the value of a gate or a sequential capture from its
+// inputs' cells; it is X for a primary input and for a sequential element
+// in frame 0 (unknown initial state).
+func (e *expanded) evalCell(at fnode) logic.V5 {
 	nd := &e.c.Nodes[at.n]
+	var v logic.V5
 	switch nd.Kind {
 	case netlist.KindGate:
-		v := eval5(nd.Op, e.c.Fanin(at.n), e.values[at.t])
-		if at.n == e.f.Node {
-			v = e.forceFault(v)
-		}
-		e.assign(at, v)
+		v = eval5(nd.Op, e.c.Fanin(at.n), e.cells[at.t*e.n:(at.t+1)*e.n])
 	case netlist.KindDFF, netlist.KindLatch:
 		if at.t == 0 {
-			return // unknown initial state
+			return logic.X5
 		}
-		v := e.capture(at.t-1, nd.Seq)
-		if at.n == e.f.Node {
-			v = e.forceFault(v)
-		}
-		e.assign(at, v)
+		v = e.capture(at.t-1, nd.Seq)
+	default:
+		return logic.X5
 	}
+	if at.n == e.f.Node {
+		v = e.forceFault(v)
+	}
+	return v
 }
 
 // forceFault recomposes a value at the fault site: the faulty component is
@@ -396,8 +627,9 @@ func (e *expanded) forceFault(v logic.V5) logic.V5 {
 // frame t, mirroring the functional simulator's pessimistic semantics in
 // both machines.
 func (e *expanded) capture(t int, si *netlist.SeqInfo) logic.V5 {
+	frame := e.cells[t*e.n : (t+1)*e.n]
 	read3 := func(p netlist.Pin, side func(logic.V5) logic.V) logic.V {
-		v := side(e.values[t][p.Node])
+		v := side(frame[p.Node].val())
 		if p.Inv {
 			v = v.Not()
 		}
@@ -463,15 +695,15 @@ func (e *expanded) assignPI(at fnode, v logic.V) bool {
 func (e *expanded) mark() int { return len(e.trail) }
 
 // rollback undoes trail entries past the mark, clears conflict state and
-// empties the worklist. Only nodes still queued carry a set flag (settle
-// clears each flag as it pops the node), so clearing those suffices.
+// empties the worklist. Only cells still queued carry the queued flag
+// (settle clears each flag as it pops the cell), so clearing those
+// suffices.
 func (e *expanded) rollback(mark int) {
-	for i := len(e.trail) - 1; i >= mark; i-- {
-		te := e.trail[i]
-		if te.forbBit != 0 {
-			e.forb[te.at.t][te.at.n] &^= te.forbBit
+	for _, te := range e.trail[mark:] {
+		if bit := te & 3; bit != 0 {
+			e.cells[te>>2] &^= cell(bit) << forbShift
 		} else {
-			e.values[te.at.t][te.at.n] = logic.X5
+			e.cells[te>>2] &^= cellValue | cellDerived
 		}
 	}
 	e.trail = e.trail[:mark]
@@ -482,16 +714,22 @@ func (e *expanded) rollback(mark int) {
 	e.dfront = e.dfront[:n]
 	e.conflict = false
 	for _, at := range e.queue {
-		e.queued[at.t][at.n] = false
+		e.cells[e.index(at)] &^= cellQueued
 	}
 	e.queue = e.queue[:0]
 }
 
-// detected reports whether a fault effect has reached a primary output.
+// detected reports whether a fault effect has reached a primary output. A
+// cell holds D or D̄ only through a trailed value entry, so with no such
+// entry (dfront empty) nothing can have.
 func (e *expanded) detected() bool {
+	if len(e.dfront) == 0 {
+		return false
+	}
 	for t := 0; t < e.w; t++ {
+		frame := e.cells[t*e.n : (t+1)*e.n]
 		for _, po := range e.c.POs {
-			if e.values[t][po.Pin.Node].Faulted() {
+			if frame[po.Pin.Node].val().Faulted() {
 				return true
 			}
 		}

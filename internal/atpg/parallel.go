@@ -93,6 +93,7 @@ func (st *runState) runParallel(workers int) {
 		go func() {
 			defer wg.Done()
 			a := newArena(st.c, &st.opt.ATPG)
+			defer st.addInits(a)
 			for {
 				if stopped.Load() {
 					return
@@ -155,7 +156,10 @@ func (st *runState) runParallel(workers int) {
 			// and only the loop writes them, so this cannot happen;
 			// regenerate inline so the merge stays provably
 			// serial-equivalent even if it ever did.
-			return st.generate(newArena(st.c, &st.opt.ATPG), i), true
+			a := newArena(st.c, &st.opt.ATPG)
+			g := st.generate(a, i)
+			st.addInits(a)
+			return g, true
 		}
 		return g, true
 	})

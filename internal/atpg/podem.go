@@ -7,38 +7,26 @@ import (
 )
 
 // arena is the reusable search state of one PODEM executor: the expanded
-// model sized for the largest window, plus the decision stack. The serial
-// driver, every parallel worker and every public Generate call own one
-// each, so no arena is ever shared between goroutines. Between
-// searches the arena is idle (see expanded), and generate leaves it idle.
+// model sized for the largest window, with its tie-closure cache, plus the
+// decision stack. The serial driver, every parallel worker and every
+// public Generate call own one each, so no arena is ever shared between
+// goroutines. Between searches the arena is idle (see expanded), and
+// generate leaves it idle.
 type arena struct {
 	e     *expanded
 	stack []decision
 }
 
 // newArena allocates an idle arena with room for the largest of opt's
-// windows; opt must be defaulted.
+// windows; opt must be prepared, and the arena's closure snapshots hold
+// for its compiled relation index only.
 func newArena(c *netlist.Circuit, opt *Options) *arena {
 	maxW := 0
 	for _, w := range opt.Windows {
 		maxW = max(maxW, w)
 	}
-	n := c.NumNodes()
-	e := &expanded{
-		c:       c,
-		tainted: make([]bool, n),
-		values:  make([][]logic.V5, maxW),
-		forb:    make([][]uint8, maxW),
-		queued:  make([][]bool, maxW),
-	}
-	vals := make([]logic.V5, maxW*n) // X5 is the zero value
-	forb := make([]uint8, maxW*n)
-	queued := make([]bool, maxW*n)
-	for t := 0; t < maxW; t++ {
-		e.values[t] = vals[t*n : (t+1)*n : (t+1)*n]
-		e.forb[t] = forb[t*n : (t+1)*n : (t+1)*n]
-		e.queued[t] = queued[t*n : (t+1)*n : (t+1)*n]
-	}
+	e := newExpanded(c, maxW)
+	e.closures = &closureCache{}
 	return &arena{e: e}
 }
 
@@ -157,8 +145,7 @@ func (p *podem) nextObjective() (fnode, logic.V, bool) {
 		// Activation: good value ¬stuck on the fault site in some frame.
 		want := p.f.Stuck.Not()
 		for t := 0; t < p.e.w; t++ {
-			v := p.e.values[t][p.f.Node]
-			if v != logic.X5 {
+			if p.e.cellAt(fnode{t, p.f.Node}).val() != logic.X5 {
 				continue
 			}
 			if at, val, ok := p.backtrace(fnode{t, p.f.Node}, want); ok {
@@ -170,14 +157,13 @@ func (p *podem) nextObjective() (fnode, logic.V, bool) {
 	// Propagation: D-frontier gates (output X, some input faulted), in
 	// the order their faulted inputs were assigned.
 	for _, i := range p.e.dfront {
-		src := p.e.trail[i].at
-		for _, out := range p.c.Fanouts(src.n) {
-			nd := &p.c.Nodes[out]
-			if nd.Kind != netlist.KindGate {
-				continue
+		src := p.e.fnodeOf(p.e.trail[i])
+		for _, s := range p.e.sinksOf(src.n) {
+			if s&1 != 0 {
+				continue // a sequential element, not a gate
 			}
-			at := fnode{src.t, out}
-			if p.e.values[at.t][at.n] != logic.X5 {
+			at := fnode{src.t, netlist.NodeID(s >> 1)}
+			if p.e.cellAt(at).val() != logic.X5 {
 				continue
 			}
 			if obj, val, ok := p.frontierObjective(at); ok {
@@ -198,7 +184,7 @@ func (p *podem) frontierObjective(at fnode) (fnode, logic.V, bool) {
 		want = ctrl.Not()
 	}
 	for _, pin := range p.c.Fanin(at.n) {
-		if p.e.values[at.t][pin.Node] != logic.X5 {
+		if p.e.cellAt(fnode{at.t, pin.Node}).val() != logic.X5 {
 			continue
 		}
 		v := want
@@ -222,7 +208,7 @@ func (p *podem) backtrace(at fnode, v logic.V) (fnode, logic.V, bool) {
 		nd := &p.c.Nodes[at.n]
 		switch nd.Kind {
 		case netlist.KindPI:
-			if p.e.values[at.t][at.n] != logic.X5 {
+			if p.e.cellAt(at).val() != logic.X5 {
 				return fnode{}, logic.X, false
 			}
 			return at, v, true
@@ -236,7 +222,7 @@ func (p *podem) backtrace(at fnode, v logic.V) (fnode, logic.V, bool) {
 			}
 			at = fnode{at.t - 1, pin.Node}
 		case netlist.KindGate:
-			if p.e.values[at.t][at.n] != logic.X5 {
+			if p.e.cellAt(at).val() != logic.X5 {
 				return fnode{}, logic.X, false
 			}
 			pin, nv, ok := p.chooseInput(at, nd, v)
@@ -269,7 +255,7 @@ func (p *podem) chooseInput(at fnode, nd *netlist.Node, v logic.V) (netlist.Pin,
 		if eff == ctrl.Not() {
 			// All inputs must be non-controlling: pick any X input.
 			for _, pin := range fanin {
-				if p.e.values[at.t][pin.Node] == logic.X5 {
+				if p.e.cellAt(fnode{at.t, pin.Node}).val() == logic.X5 {
 					return pin, pinVal(pin, ctrl.Not()), true
 				}
 			}
@@ -280,7 +266,7 @@ func (p *podem) chooseInput(at fnode, nd *netlist.Node, v logic.V) (netlist.Pin,
 		var fallback *netlist.Pin
 		for i := range fanin {
 			pin := fanin[i]
-			if p.e.values[at.t][pin.Node] != logic.X5 {
+			if p.e.cellAt(fnode{at.t, pin.Node}).val() != logic.X5 {
 				continue
 			}
 			if fallback == nil {
@@ -292,7 +278,7 @@ func (p *podem) chooseInput(at fnode, nd *netlist.Node, v logic.V) (netlist.Pin,
 				if needed == logic.Zero {
 					bit = 2 // driver must not be 1 => must be 0
 				}
-				if p.e.forb[at.t][pin.Node]&bit != 0 {
+				if p.e.cellAt(fnode{at.t, pin.Node}).forb()&bit != 0 {
 					return pin, needed, true
 				}
 			}
@@ -309,7 +295,7 @@ func (p *podem) chooseInput(at fnode, nd *netlist.Node, v logic.V) (netlist.Pin,
 		var pick *netlist.Pin
 		for i := range fanin {
 			pin := fanin[i]
-			pv := p.e.values[at.t][pin.Node]
+			pv := p.e.cellAt(fnode{at.t, pin.Node}).val()
 			if pv == logic.X5 {
 				if pick == nil {
 					pick = &fanin[i]
@@ -353,7 +339,7 @@ func (p *podem) extractTest() [][]logic.V {
 	for t := 0; t < p.e.w; t++ {
 		vec := make([]logic.V, len(p.c.PIs))
 		for i, pi := range p.c.PIs {
-			g := p.e.values[t][pi].Good()
+			g := p.e.cellAt(fnode{t, pi}).val().Good()
 			if !g.Known() && r != nil {
 				g = logic.FromBool(r.Bool())
 			}
