@@ -44,10 +44,7 @@
 // already know a circuit's fingerprint may send the X-Circuit-Fingerprint
 // header with an empty body to skip the netlist upload; a daemon that
 // doesn't hold the artifact answers 428 and the client re-sends the body
-// (seqlearn.Client does this transparently). The X-Tenant header keys fair
-// scheduling: tenants waiting for pool slots are granted round-robin, so
-// one noisy tenant queues behind itself, not in front of everyone, and
-// /v1/stats reports per-tenant request/shed/queue-depth counts.
+// (seqlearn.Client does this transparently).
 //
 // Overload sheds with 429 + Retry-After once the pool and queue are full;
 // expired deadlines answer 504 and never cache; SIGINT/SIGTERM flips

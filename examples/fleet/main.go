@@ -36,7 +36,6 @@ func main() {
 	answers := make([]*seqlearn.ServiceATPGResult, len(urls))
 	for i, u := range urls {
 		cl := seqlearn.NewClient(u)
-		cl.SetTenant("walkthrough")
 		if answers[i], err = cl.GenerateTests(ctx, c, params); err != nil {
 			fail(err)
 		}

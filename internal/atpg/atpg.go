@@ -242,7 +242,7 @@ func buildRelIndex(c *netlist.Circuit, db *imply.Snapshot, mode Mode, crossFrame
 	// antecedent's consequents, the second places them, so every literal
 	// keeps relation order and nothing is allocated but the tables.
 	for _, place := range []bool{false, true} {
-		for _, r := range db.Relations() {
+		for i, r := range db.Relations() {
 			if r.Dt != 0 {
 				if crossFrame && mode != ModeNoLearning {
 					ri.cross.add(place, r.A, r.B, int32(r.Dt))
@@ -250,10 +250,11 @@ func buildRelIndex(c *netlist.Circuit, db *imply.Snapshot, mode Mode, crossFrame
 				}
 				continue
 			}
-			if mode == ModeNoLearning && !db.IsCombinational(r.A, r.B, 0) {
+			comb, depth := db.RelationMeta(i)
+			if mode == ModeNoLearning && !comb {
 				continue
 			}
-			d := int32(db.DepthOf(r.A, r.B, 0))
+			d := int32(depth)
 			ri.same.add(place, r.A, r.B, d)
 			ri.same.add(place, r.B.Not(), r.A.Not(), d)
 		}

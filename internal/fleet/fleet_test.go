@@ -119,11 +119,11 @@ func TestFleetColdRaceOneArtifact(t *testing.T) {
 	}
 }
 
-// TestFleetConcurrentTenants drives two tenants concurrently across the
-// fleet under a deliberately tiny pool: every response must still be
-// bit-identical, and the per-tenant accounting on each instance must add
-// up to the requests sent.
-func TestFleetConcurrentTenants(t *testing.T) {
+// TestFleetConcurrentClients drives concurrent clients across the fleet
+// under a one-slot pool, so requests queue for it: every response must
+// still be bit-identical, and each instance must serve exactly the
+// requests sent to it.
+func TestFleetConcurrentClients(t *testing.T) {
 	cfg := serverConfig()
 	cfg.MaxConcurrent = 1
 	cfg.MaxQueue = 64
@@ -137,29 +137,20 @@ func TestFleetConcurrentTenants(t *testing.T) {
 	c := gen.MustBuild("s510jcsrre")
 	params := seqlearn.ServiceATPGParams{Mode: "forbidden", MaxFaults: 40, Workers: 1, IncludeTests: true}
 
-	const perTenant = 4
-	tenants := []string{"red", "blue"}
+	const perInstance = 8
 	type result struct {
 		resp *seqlearn.ServiceATPGResult
 		err  error
 	}
-	results := make([]result, len(tenants)*perTenant*len(urls))
+	results := make([]result, perInstance*len(urls))
 	var wg sync.WaitGroup
-	idx := 0
-	for _, tenant := range tenants {
-		for _, u := range urls {
-			for r := 0; r < perTenant; r++ {
-				wg.Add(1)
-				go func(i int, tenant, u string) {
-					defer wg.Done()
-					client := seqlearn.NewClient(u)
-					client.SetTenant(tenant)
-					resp, err := client.GenerateTests(ctx, c, params)
-					results[i] = result{resp, err}
-				}(idx, tenant, u)
-				idx++
-			}
-		}
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := seqlearn.NewClient(urls[i%len(urls)]).GenerateTests(ctx, c, params)
+			results[i] = result{resp, err}
+		}()
 	}
 	wg.Wait()
 
@@ -174,17 +165,14 @@ func TestFleetConcurrentTenants(t *testing.T) {
 		}
 		if r.resp.Detected != first.Detected || r.resp.Total != first.Total ||
 			!reflect.DeepEqual(r.resp.TestVectors, first.TestVectors) {
-			t.Fatalf("response %d differs under tenant contention", i)
+			t.Fatalf("response %d differs under contention", i)
 		}
 	}
 
 	for i, srv := range cl.Servers() {
-		st := srv.StatsSnapshot()
-		for _, tenant := range tenants {
-			if st.Tenants[tenant].Requests != perTenant {
-				t.Fatalf("instance %d tenant %q requests = %d, want %d (stats %+v)",
-					i, tenant, st.Tenants[tenant].Requests, perTenant, st.Tenants)
-			}
+		if st := srv.StatsSnapshot(); st.Served["atpg"] != perInstance {
+			t.Fatalf("instance %d served %d atpg requests, want %d (stats %+v)",
+				i, st.Served["atpg"], perInstance, st)
 		}
 	}
 }

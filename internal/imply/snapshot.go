@@ -89,6 +89,12 @@ func (s *Snapshot) Len() int { return len(s.rels) }
 // modified.
 func (s *Snapshot) Relations() []Relation { return s.rels }
 
+// RelationMeta returns the comb flag and history depth of Relations()[i]:
+// the same answers IsCombinational and DepthOf give, read by index.
+func (s *Snapshot) RelationMeta(i int) (comb bool, depth int) {
+	return s.meta[i].comb, int(s.meta[i].depth)
+}
+
 // find binary-searches the canonical form of r.
 func (s *Snapshot) find(r Relation) (relMeta, bool) {
 	if i, ok := slices.BinarySearchFunc(s.rels, r.canonical(), relCmp); ok {

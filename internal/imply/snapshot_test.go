@@ -53,6 +53,12 @@ func TestSnapshotMirrorsDB(t *testing.T) {
 	if s.DepthOf(f1, f2, 0) != 2 {
 		t.Fatalf("DepthOf = %d, want 2", s.DepthOf(f1, f2, 0))
 	}
+	for i, r := range s.Relations() {
+		comb, depth := s.RelationMeta(i)
+		if comb != s.IsCombinational(r.A, r.B, int(r.Dt)) || depth != s.DepthOf(r.A, r.B, int(r.Dt)) {
+			t.Fatalf("RelationMeta(%d) = (%v, %d) disagrees with the lookups for %v", i, comb, depth, r)
+		}
+	}
 	if s.CrossFrame() != 1 {
 		t.Fatalf("CrossFrame = %d, want 1", s.CrossFrame())
 	}

@@ -429,11 +429,6 @@ type StatsResponse struct {
 	Degraded   bool             `json:"degraded"`
 	Draining   bool             `json:"draining"`
 	Served     map[string]int64 `json:"served"`
-
-	// Tenants breaks the admission counters down by the X-Tenant label the
-	// metrics actually used (at most maxTenantLabels distinct values plus
-	// the "_other" overflow), with each tenant's live queue depth.
-	Tenants map[string]TenantStats `json:"tenants,omitempty"`
 }
 
 // HealthResponse is the JSON answer of GET /healthz. Status is "ok" or

@@ -119,34 +119,3 @@ func TestFingerprintFastPathATPG(t *testing.T) {
 		t.Fatalf("fast-path atpg differs:\nwarm %+v\nfast %+v", warm, fast)
 	}
 }
-
-// TestTenantValidationAndStats: the X-Tenant header is validated, counted
-// per tenant, and folded into /v1/stats.
-func TestTenantValidationAndStats(t *testing.T) {
-	srv := New(Config{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	body := benchText(t, circuits.Figure2())
-
-	first := postOK[LearnResponse](t, ts, "/v1/learn", nil, body, map[string]string{TenantHeader: "team-a"})
-	postOK[LearnResponse](t, ts, "/v1/learn", nil, body, map[string]string{TenantHeader: "team-a"})
-	postOK[LearnResponse](t, ts, "/v1/learn", nil, body, nil) // -> "default"
-
-	// A header-only fast-path hit bypasses the pool but is still the
-	// tenant's request.
-	postOK[LearnResponse](t, ts, "/v1/learn", nil, "", map[string]string{
-		TenantHeader: "team-a", FingerprintHeader: first.Fingerprint,
-	})
-
-	for _, bad := range []string{"spaces in name", strings.Repeat("x", 65), "semi;colon"} {
-		resp, data := postReq(t, ts, "/v1/learn", nil, body, map[string]string{TenantHeader: bad})
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("tenant %q: status %d, want 400: %s", bad, resp.StatusCode, data)
-		}
-	}
-
-	st := get[StatsResponse](t, ts, "/v1/stats")
-	if st.Tenants["team-a"].Requests != 3 || st.Tenants["default"].Requests != 1 {
-		t.Fatalf("tenant stats = %+v", st.Tenants)
-	}
-}

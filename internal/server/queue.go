@@ -3,76 +3,51 @@ package server
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 )
 
-// Tenant-fair admission. PR 8's admission control was one global FIFO: a
-// tenant that bursts 16 requests owns the whole queue and every other
-// tenant waits behind it. The fairQueue keeps the same envelope — a fixed
-// slot pool, a bounded total queue, shed beyond it — but queues waiters per
-// tenant and hands freed slots out round-robin across tenants, so K
-// tenants under contention each see ~1/K of the pool no matter how deep
-// any one of them queues.
+// Admission: a fixed slot pool in front of one bounded FIFO of waiters,
+// with requests beyond the queue bound shed. The queue is fair in arrival
+// order: slots are granted first come, first served, and TryAcquire never
+// takes a slot while anyone is queued.
 //
 // All admission state mutates under one mutex, and a freed slot is handed
-// directly to the chosen waiter (ownership transfer) rather than returned
-// to a shared pool for waiters to race over: the round-robin decision and
-// the grant are atomic, so a burst arriving between release and re-acquire
-// cannot barge past a queued tenant.
+// directly to the head waiter (ownership transfer) rather than returned to
+// a shared pool for waiters to race over, so a burst arriving between
+// release and re-acquire cannot barge past a queued request.
 
-// errQueueFull sheds a request when the total queue is at capacity.
+// errQueueFull sheds a request when the queue is at capacity.
 var errQueueFull = errors.New("compute pool and admission queue full")
 
 type fqWaiter struct {
-	tenant  string
 	ready   chan struct{} // closed when a slot is granted
 	granted bool          // guarded by fairQueue.mu
 }
 
-// fairQueue is the tenant-fair slot pool. The zero value is not usable;
-// construct with newFairQueue.
+// fairQueue is the slot pool and its FIFO admission queue. The zero value
+// is not usable; construct with newFairQueue.
 type fairQueue struct {
 	slots    int
 	maxQueue int
 
-	mu     sync.Mutex
-	free   int
-	queues map[string][]*fqWaiter // per-tenant FIFO
-	ring   []string               // tenants with waiters, round-robin order
-	next   int                    // ring cursor
-	queued int                    // total waiters across tenants
+	mu      sync.Mutex
+	free    int
+	waiters []*fqWaiter // arrival order; the head is granted next
 }
 
 func newFairQueue(slots, maxQueue int) *fairQueue {
-	return &fairQueue{
-		slots:    slots,
-		maxQueue: maxQueue,
-		free:     slots,
-		queues:   map[string][]*fqWaiter{},
-	}
+	return &fairQueue{slots: slots, maxQueue: maxQueue, free: slots}
 }
 
 // Slots returns the pool capacity.
 func (q *fairQueue) Slots() int { return q.slots }
 
-// Depth returns the total number of queued waiters.
+// Depth returns the number of queued waiters.
 func (q *fairQueue) Depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.queued
-}
-
-// DepthByTenant snapshots the per-tenant queue depths.
-func (q *fairQueue) DepthByTenant() map[string]int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make(map[string]int, len(q.queues))
-	for t, ws := range q.queues {
-		if len(ws) > 0 {
-			out[t] = len(ws)
-		}
-	}
-	return out
+	return len(q.waiters)
 }
 
 // TryAcquire grants a slot immediately when one is free and nobody is
@@ -81,34 +56,33 @@ func (q *fairQueue) DepthByTenant() map[string]int {
 func (q *fairQueue) TryAcquire() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.free > 0 && q.queued == 0 {
+	return q.tryAcquireLocked()
+}
+
+func (q *fairQueue) tryAcquireLocked() bool {
+	if q.free > 0 && len(q.waiters) == 0 {
 		q.free--
 		return true
 	}
 	return false
 }
 
-// Acquire queues the caller under its tenant and blocks until a released
-// slot is handed to it round-robin, the context ends, or the total queue
-// is full (errQueueFull, immediately). On nil error the caller owns a slot
-// and must Release it.
-func (q *fairQueue) Acquire(ctx context.Context, tenant string) error {
+// Acquire queues the caller and blocks until a released slot is handed to
+// it in arrival order, the context ends, or the queue is full
+// (errQueueFull, immediately). On nil error the caller owns a slot and
+// must Release it.
+func (q *fairQueue) Acquire(ctx context.Context) error {
 	q.mu.Lock()
-	if q.free > 0 && q.queued == 0 {
-		q.free--
+	if q.tryAcquireLocked() {
 		q.mu.Unlock()
 		return nil
 	}
-	if q.queued >= q.maxQueue {
+	if len(q.waiters) >= q.maxQueue {
 		q.mu.Unlock()
 		return errQueueFull
 	}
-	w := &fqWaiter{tenant: tenant, ready: make(chan struct{})}
-	if len(q.queues[tenant]) == 0 {
-		q.ring = append(q.ring, tenant)
-	}
-	q.queues[tenant] = append(q.queues[tenant], w)
-	q.queued++
+	w := &fqWaiter{ready: make(chan struct{})}
+	q.waiters = append(q.waiters, w)
 	q.mu.Unlock()
 
 	select {
@@ -121,15 +95,15 @@ func (q *fairQueue) Acquire(ctx context.Context, tenant string) error {
 			// A release handed us the slot while the context was ending;
 			// pass it on (or free it) instead of leaking it.
 			q.releaseLocked()
-			return ctx.Err()
+		} else {
+			q.waiters = slices.DeleteFunc(q.waiters, func(c *fqWaiter) bool { return c == w })
 		}
-		q.removeLocked(w)
 		return ctx.Err()
 	}
 }
 
-// Release returns a slot: directly to the next round-robin waiter when any
-// tenant is queued, to the free pool otherwise.
+// Release returns a slot: directly to the head waiter when anyone is
+// queued, to the free pool otherwise.
 func (q *fairQueue) Release() {
 	q.mu.Lock()
 	q.releaseLocked()
@@ -137,69 +111,12 @@ func (q *fairQueue) Release() {
 }
 
 func (q *fairQueue) releaseLocked() {
-	w := q.nextWaiterLocked()
-	if w == nil {
+	if len(q.waiters) == 0 {
 		q.free++
 		return
 	}
+	w := q.waiters[0]
+	q.waiters = slices.Delete(q.waiters, 0, 1)
 	w.granted = true
 	close(w.ready)
-}
-
-// nextWaiterLocked dequeues the head waiter of the tenant under the ring
-// cursor and advances the cursor, removing tenants whose queue drains.
-func (q *fairQueue) nextWaiterLocked() *fqWaiter {
-	if q.queued == 0 {
-		return nil
-	}
-	if q.next >= len(q.ring) {
-		q.next = 0
-	}
-	tenant := q.ring[q.next]
-	ws := q.queues[tenant]
-	w := ws[0]
-	ws = ws[1:]
-	q.queued--
-	if len(ws) == 0 {
-		delete(q.queues, tenant)
-		q.ring = append(q.ring[:q.next], q.ring[q.next+1:]...)
-		if q.next >= len(q.ring) {
-			q.next = 0
-		}
-	} else {
-		q.queues[tenant] = ws
-		q.next = (q.next + 1) % len(q.ring)
-	}
-	return w
-}
-
-// removeLocked deletes a waiter that gave up (context canceled) from its
-// tenant queue, keeping the ring and cursor consistent.
-func (q *fairQueue) removeLocked(w *fqWaiter) {
-	ws := q.queues[w.tenant]
-	for i, cand := range ws {
-		if cand != w {
-			continue
-		}
-		ws = append(ws[:i], ws[i+1:]...)
-		q.queued--
-		if len(ws) == 0 {
-			delete(q.queues, w.tenant)
-			for ri, t := range q.ring {
-				if t == w.tenant {
-					q.ring = append(q.ring[:ri], q.ring[ri+1:]...)
-					if ri < q.next {
-						q.next--
-					}
-					if q.next >= len(q.ring) {
-						q.next = 0
-					}
-					break
-				}
-			}
-		} else {
-			q.queues[w.tenant] = ws
-		}
-		return
-	}
 }

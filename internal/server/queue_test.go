@@ -8,15 +8,15 @@ import (
 	"time"
 )
 
-// enqueueWaiter queues one Acquire under the tenant and returns a channel
-// that delivers the tag once the slot is granted. It blocks until the
-// waiter is actually queued, so callers control enqueue order exactly.
-func enqueueWaiter(t *testing.T, q *fairQueue, ctx context.Context, tenant, tag string, granted chan<- string) <-chan error {
+// enqueueWaiter queues one Acquire and returns a channel that delivers
+// the tag once the slot is granted. It blocks until the waiter is actually
+// queued, so callers control enqueue order exactly.
+func enqueueWaiter(t *testing.T, q *fairQueue, ctx context.Context, tag string, granted chan<- string) <-chan error {
 	t.Helper()
 	before := q.Depth()
 	done := make(chan error, 1)
 	go func() {
-		err := q.Acquire(ctx, tenant)
+		err := q.Acquire(ctx)
 		if err == nil {
 			granted <- tag
 		}
@@ -32,38 +32,41 @@ func enqueueWaiter(t *testing.T, q *fairQueue, ctx context.Context, tenant, tag 
 	return done
 }
 
-// TestFairQueueRoundRobin is the fairness gate: with one slot busy and
-// tenant A six requests deep, releases must interleave B and C instead of
-// draining A first.
-func TestFairQueueRoundRobin(t *testing.T) {
-	q := newFairQueue(1, 16)
-	if !q.TryAcquire() {
-		t.Fatal("fresh queue has no free slot")
+// TestFairQueueFIFOOrder is the ordering gate: with every slot busy and
+// five waiters queued, releases grant the waiters in arrival order, and a
+// TryAcquire racing a release never takes the slot ahead of the queue.
+func TestFairQueueFIFOOrder(t *testing.T) {
+	q := newFairQueue(2, 16)
+	for i := 0; i < 2; i++ {
+		if !q.TryAcquire() {
+			t.Fatal("fresh queue has no free slot")
+		}
 	}
 
 	granted := make(chan string, 8)
 	ctx := context.Background()
+	want := []string{"W1", "W2", "W3", "W4", "W5"}
 	var dones []<-chan error
-	// Enqueue order: A1 A2 A3 B1 B2 C1. FIFO would grant A1 A2 A3 B1 B2 C1;
-	// round-robin across tenants grants A1 B1 C1 A2 B2 A3.
-	for _, w := range []struct{ tenant, tag string }{
-		{"a", "A1"}, {"a", "A2"}, {"a", "A3"},
-		{"b", "B1"}, {"b", "B2"},
-		{"c", "C1"},
-	} {
-		dones = append(dones, enqueueWaiter(t, q, ctx, w.tenant, w.tag, granted))
+	for _, tag := range want {
+		dones = append(dones, enqueueWaiter(t, q, ctx, tag, granted))
 	}
-	if d := q.DepthByTenant(); d["a"] != 3 || d["b"] != 2 || d["c"] != 1 {
-		t.Fatalf("queued depths = %v", d)
+	if d := q.Depth(); d != len(want) {
+		t.Fatalf("queued depth = %d, want %d", d, len(want))
 	}
 
-	want := []string{"A1", "B1", "C1", "A2", "B2", "A3"}
 	for i, w := range want {
+		if q.TryAcquire() {
+			t.Fatalf("TryAcquire took a slot ahead of %d queued waiters", q.Depth())
+		}
 		q.Release()
+		// The released slot belongs to the head waiter already.
+		if q.TryAcquire() {
+			t.Fatalf("TryAcquire took the slot released for %s", w)
+		}
 		select {
 		case got := <-granted:
 			if got != w {
-				t.Fatalf("grant %d = %s, want %s (round-robin order %v)", i, got, w, want)
+				t.Fatalf("grant %d = %s, want %s (arrival order %v)", i, got, w, want)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("grant %d (%s) never arrived", i, w)
@@ -74,16 +77,20 @@ func TestFairQueueRoundRobin(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The last grant is still held; releasing it with nobody queued must
-	// free the slot for TryAcquire again.
+	// Two grants are still held; releasing them with nobody queued must
+	// free both slots for TryAcquire again, and no more.
 	q.Release()
-	if !q.TryAcquire() {
+	q.Release()
+	if !q.TryAcquire() || !q.TryAcquire() {
 		t.Fatal("slot not returned to the free pool")
+	}
+	if q.TryAcquire() {
+		t.Fatal("extra slot materialized")
 	}
 }
 
-// TestFairQueueShed: the total queue bound applies across tenants, and a
-// shed request never occupies queue state.
+// TestFairQueueShed: the queue bound sheds at once, and a shed request
+// never occupies queue state.
 func TestFairQueueShed(t *testing.T) {
 	q := newFairQueue(1, 2)
 	if !q.TryAcquire() {
@@ -91,11 +98,11 @@ func TestFairQueueShed(t *testing.T) {
 	}
 	granted := make(chan string, 4)
 	ctx := context.Background()
-	d1 := enqueueWaiter(t, q, ctx, "a", "A1", granted)
-	d2 := enqueueWaiter(t, q, ctx, "b", "B1", granted)
+	d1 := enqueueWaiter(t, q, ctx, "W1", granted)
+	d2 := enqueueWaiter(t, q, ctx, "W2", granted)
 
-	// Queue full: a third waiter — new tenant or not — sheds immediately.
-	if err := q.Acquire(ctx, "c"); !errors.Is(err, errQueueFull) {
+	// Queue full: a third waiter sheds immediately.
+	if err := q.Acquire(ctx); !errors.Is(err, errQueueFull) {
 		t.Fatalf("Acquire on full queue = %v, want errQueueFull", err)
 	}
 	if q.Depth() != 2 {
@@ -112,8 +119,8 @@ func TestFairQueueShed(t *testing.T) {
 	}
 }
 
-// TestFairQueueCancelWhileQueued: a canceled waiter leaves the queue (and
-// the ring) consistent, and later releases skip it.
+// TestFairQueueCancelWhileQueued: a canceled waiter leaves the queue
+// consistent, and later releases skip it.
 func TestFairQueueCancelWhileQueued(t *testing.T) {
 	q := newFairQueue(1, 16)
 	if !q.TryAcquire() {
@@ -121,15 +128,15 @@ func TestFairQueueCancelWhileQueued(t *testing.T) {
 	}
 	granted := make(chan string, 4)
 	cctx, cancel := context.WithCancel(context.Background())
-	dA := enqueueWaiter(t, q, cctx, "a", "A1", granted)
-	dB := enqueueWaiter(t, q, context.Background(), "b", "B1", granted)
+	dA := enqueueWaiter(t, q, cctx, "A1", granted)
+	dB := enqueueWaiter(t, q, context.Background(), "B1", granted)
 
 	cancel()
 	if err := <-dA; !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled Acquire = %v", err)
 	}
-	if d := q.DepthByTenant(); len(d) != 1 || d["b"] != 1 {
-		t.Fatalf("depths after cancel = %v", d)
+	if d := q.Depth(); d != 1 {
+		t.Fatalf("depth after cancel = %d, want 1", d)
 	}
 
 	q.Release()
@@ -149,26 +156,34 @@ func TestFairQueueCancelWhileQueued(t *testing.T) {
 	}
 }
 
-// TestFairQueueManyTenantsStress hammers the queue from many goroutines
-// (run under -race in CI): every Acquire must eventually grant, and the
+// TestFairQueueStress hammers the queue from many goroutines (run under
+// -race in CI), a quarter of them with contexts that end while they may
+// still be queued: every other Acquire must eventually grant, and the
 // slot accounting must balance to exactly free==slots at the end.
-func TestFairQueueManyTenantsStress(t *testing.T) {
-	const slots, tenants, perTenant = 4, 8, 25
-	q := newFairQueue(slots, tenants*perTenant)
-	done := make(chan error, tenants*perTenant)
-	for ti := 0; ti < tenants; ti++ {
-		tenant := fmt.Sprintf("t%d", ti)
-		for i := 0; i < perTenant; i++ {
-			go func() {
-				err := q.Acquire(context.Background(), tenant)
-				if err == nil {
-					q.Release()
-				}
-				done <- err
-			}()
-		}
+func TestFairQueueStress(t *testing.T) {
+	const slots, n = 4, 200
+	q := newFairQueue(slots, n)
+	done := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			ctx := context.Background()
+			if i%4 == 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, time.Duration(i%7)*100*time.Microsecond)
+				defer cancel()
+			}
+			err := q.Acquire(ctx)
+			if err == nil {
+				q.Release()
+			} else if i%4 == 0 && errors.Is(err, context.DeadlineExceeded) {
+				err = nil
+			} else {
+				err = fmt.Errorf("waiter %d: %w", i, err)
+			}
+			done <- err
+		}()
 	}
-	for i := 0; i < tenants*perTenant; i++ {
+	for i := 0; i < n; i++ {
 		select {
 		case err := <-done:
 			if err != nil {

@@ -108,7 +108,7 @@ func (c *Config) defaults() {
 type Server struct {
 	cfg     Config
 	store   *store.Store
-	pool    *fairQueue // tenant-fair slot pool + bounded admission queue
+	pool    *fairQueue // slot pool + bounded FIFO admission queue
 	mux     *http.ServeMux
 	start   time.Time
 	reg     *obs.Registry
@@ -116,7 +116,6 @@ type Server struct {
 	logger  *slog.Logger
 
 	inFlight atomic.Int64
-	queued   atomic.Int64
 	draining atomic.Bool
 
 	// Pool-outcome counters live in the obs registry; /v1/stats reads the
@@ -131,8 +130,7 @@ type Server struct {
 	// service time (nanoseconds), feeding the Retry-After estimate.
 	svcNanos atomic.Int64
 
-	served  map[string]*obs.Counter
-	tenants *tenantMetrics
+	served map[string]*obs.Counter
 }
 
 // New returns a server ready to be attached to an http.Server.
@@ -161,7 +159,6 @@ func New(cfg Config) *Server {
 		"Header-only requests served from the resident cache without a netlist body.")
 	s.fastMiss = reg.Counter("seqlearnd_fingerprint_fast_misses_total",
 		"Header-only requests answered 428 because the fingerprint was not resident.")
-	s.tenants = newTenantMetrics(reg)
 	s.served = map[string]*obs.Counter{}
 	for _, ep := range computeEndpoints {
 		s.served[ep] = reg.Counter("seqlearnd_served_total",
@@ -173,7 +170,7 @@ func New(cfg Config) *Server {
 		func() float64 { return float64(s.inFlight.Load()) })
 	reg.GaugeFunc("seqlearnd_queue_depth",
 		"Compute requests waiting for a pool slot.",
-		func() float64 { return float64(s.queued.Load()) })
+		func() float64 { return float64(s.pool.Depth()) })
 
 	s.mux.HandleFunc("POST /v1/learn", s.handleLearn)
 	s.mux.HandleFunc("POST /v1/atpg", s.handleATPG)
@@ -199,13 +196,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Store() *store.Store { return s.store }
 
 // acquire admits the request to the compute pool: immediately when a slot
-// is free, through the tenant-fair admission queue when not, and with a
-// 429 + Retry-After rejection when the total queue is full. ctx is the
-// request's effective deadline context (requestContext); expiry while
-// queued answers 504, client disconnect 503 — either way the queue
-// position is released. It returns a release func, or false after writing
-// the error response.
-func (s *Server) acquire(w http.ResponseWriter, ctx context.Context, ep, tenant string) (func(), bool) {
+// is free, through the FIFO admission queue when not, and with a 429 +
+// Retry-After rejection when the queue is full. ctx is the request's
+// effective deadline context (requestContext); expiry while queued
+// answers 504, client disconnect 503 — either way the queue position is
+// released. It returns a release func, or false after writing the error
+// response.
+func (s *Server) acquire(w http.ResponseWriter, ctx context.Context, ep string) (func(), bool) {
 	enter := time.Now()
 	// Fast path: a free slot, no queueing.
 	if s.pool.TryAcquire() {
@@ -213,27 +210,18 @@ func (s *Server) acquire(w http.ResponseWriter, ctx context.Context, ep, tenant 
 		return s.slotAcquired(ep), true
 	}
 
-	// Tenant-fair admission: queue under this request's tenant; freed
-	// slots are dispatched round-robin across tenants with waiters. A full
-	// total queue means the daemon is already pool+queue deep in work;
-	// waiting longer only builds an unbounded backlog, so answer now with
-	// an honest retry hint instead.
-	err := func() error {
-		s.queued.Add(1)
-		sp := obs.TraceFrom(ctx).Root().Start("queue_wait")
-		defer func() {
-			sp.End()
-			s.queued.Add(-1)
-		}()
-		return s.pool.Acquire(ctx, tenant)
-	}()
+	// Queue for a slot in arrival order. A full queue means the daemon is
+	// already pool+queue deep in work; waiting longer only builds an
+	// unbounded backlog, so answer now with an honest retry hint instead.
+	sp := obs.TraceFrom(ctx).Root().Start("queue_wait")
+	err := s.pool.Acquire(ctx)
+	sp.End()
 	switch {
 	case err == nil:
 		s.observeQueueWait(ep, time.Since(enter))
 		return s.slotAcquired(ep), true
 	case errors.Is(err, errQueueFull):
 		s.shed.Inc()
-		s.tenants.shed(tenant).Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 		s.writeError(w, http.StatusTooManyRequests,
 			fmt.Errorf("compute pool and admission queue full; retry after the advised delay"))
@@ -243,27 +231,6 @@ func (s *Server) acquire(w http.ResponseWriter, ctx context.Context, ep, tenant 
 		s.writeError(w, code, cerr)
 		return nil, false
 	}
-}
-
-// tenantOf extracts and validates the request's tenant from the X-Tenant
-// header ("default" when absent). Tenants are caller-chosen identifiers
-// that end up as metric labels, so the accepted alphabet is restricted.
-func tenantOf(r *http.Request) (string, error) {
-	t := r.Header.Get(TenantHeader)
-	if t == "" {
-		return "default", nil
-	}
-	if len(t) > 64 {
-		return "", fmt.Errorf("X-Tenant longer than 64 bytes")
-	}
-	for i := 0; i < len(t); i++ {
-		c := t[i]
-		if (c < 'a' || c > 'z') && (c < 'A' || c > 'Z') && (c < '0' || c > '9') &&
-			c != '-' && c != '_' && c != '.' {
-			return "", fmt.Errorf("X-Tenant %q: only [A-Za-z0-9._-] allowed", t)
-		}
-	}
-	return t, nil
 }
 
 // observeQueueWait feeds the per-endpoint queue-wait histogram (absent for
@@ -363,10 +330,6 @@ func (s *Server) cancelStatus(ctx context.Context, when string) (int, error) {
 // the client to re-send the body once (which re-warms this instance).
 const FingerprintHeader = "X-Circuit-Fingerprint"
 
-// TenantHeader names the request's tenant for fair scheduling and
-// per-tenant metrics ("default" when absent).
-const TenantHeader = "X-Tenant"
-
 // fastPathArtifact resolves the body-less fingerprint fast path. It
 // returns (artifact, true) when the request is header-only and the
 // artifact is resident; (nil, true) after writing an error response (400
@@ -452,14 +415,6 @@ func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	tenant, err := tenantOf(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Counted at handler entry, not in acquire: fingerprint fast-path hits
-	// bypass the pool but are still this tenant's requests.
-	s.tenants.requests(tenant).Inc()
 
 	var (
 		c   *netlist.Circuit
@@ -483,7 +438,7 @@ func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	tr := obs.TraceFrom(ctx)
 	if art == nil {
-		release, ok := s.acquire(w, ctx, "learn", tenant)
+		release, ok := s.acquire(w, ctx, "learn")
 		if !ok {
 			return
 		}
@@ -521,14 +476,6 @@ func (s *Server) handleATPG(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	tenant, err := tenantOf(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Counted at handler entry, not in acquire: fingerprint fast-path hits
-	// bypass the pool but are still this tenant's requests.
-	s.tenants.requests(tenant).Inc()
 
 	var (
 		c   *netlist.Circuit
@@ -550,7 +497,7 @@ func (s *Server) handleATPG(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r, params.Learn.Timeout)
 	defer cancel()
-	release, ok := s.acquire(w, ctx, "atpg", tenant)
+	release, ok := s.acquire(w, ctx, "atpg")
 	if !ok {
 		return
 	}
@@ -633,14 +580,6 @@ func (s *Server) handleFaultSim(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	tenant, err := tenantOf(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Counted at handler entry, not in acquire: fingerprint fast-path hits
-	// bypass the pool but are still this tenant's requests.
-	s.tenants.requests(tenant).Inc()
 	c, ok := s.readCircuit(w, r)
 	if !ok {
 		return
@@ -649,7 +588,7 @@ func (s *Server) handleFaultSim(w http.ResponseWriter, r *http.Request) {
 	// deadline still bounds time spent waiting in the admission queue.
 	ctx, cancel := s.requestContext(r, params.Timeout)
 	defer cancel()
-	release, ok := s.acquire(w, ctx, "faultsim", tenant)
+	release, ok := s.acquire(w, ctx, "faultsim")
 	if !ok {
 		return
 	}
@@ -741,7 +680,7 @@ func (s *Server) StatsSnapshot() StatsResponse {
 		UptimeMS:   ms(time.Since(s.start)),
 		Cache:      cache,
 		InFlight:   s.inFlight.Load(),
-		Queued:     s.queued.Load(),
+		Queued:     int64(s.pool.Depth()),
 		Abandoned:  s.abandoned.Value(),
 		Shed:       s.shed.Value(),
 		TimedOut:   s.timedOut.Value(),
@@ -750,7 +689,6 @@ func (s *Server) StatsSnapshot() StatsResponse {
 		Degraded:   cache.Degraded,
 		Draining:   s.draining.Load(),
 		Served:     served,
-		Tenants:    s.tenants.snapshot(s.pool.DepthByTenant()),
 	}
 }
 

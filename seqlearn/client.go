@@ -91,10 +91,9 @@ func (p RetryPolicy) normalized() RetryPolicy {
 // The zero Client is not usable; construct with NewClient. A Client is
 // safe for concurrent use.
 type Client struct {
-	base   string
-	hc     *http.Client
-	retry  RetryPolicy
-	tenant string
+	base  string
+	hc    *http.Client
+	retry RetryPolicy
 
 	// fps remembers the daemon-reported learning-artifact fingerprint per
 	// (circuit, learn options): warm repeat requests send just the
@@ -132,12 +131,6 @@ func (cl *Client) SetHTTPClient(hc *http.Client) { cl.hc = hc }
 // Stats, Health and WaitHealthy never retry internally regardless — a
 // probe must report the daemon's state now, not eventually.
 func (cl *Client) SetRetryPolicy(p RetryPolicy) { cl.retry = p.normalized() }
-
-// SetTenant attaches the tenant name to every request (the X-Tenant
-// header), feeding the daemon's fair scheduling and per-tenant metrics.
-// Empty (the default) means the daemon's "default" tenant. Must be set
-// before the client is shared across goroutines.
-func (cl *Client) SetTenant(tenant string) { cl.tenant = tenant }
 
 // fpKey identifies a learning artifact from the client's side: the
 // circuit instance plus the learning options that shape the result.
@@ -240,7 +233,7 @@ func postFingerprint[T any](ctx context.Context, cl *Client, path string, q url.
 }
 
 // request is the shared compute-request loop: replayable body, optional
-// fingerprint header, tenant header, retry policy. The bool result is
+// fingerprint header, retry policy. The bool result is
 // the fast-path miss signal (428; only possible when fp is set).
 func request[T any](ctx context.Context, cl *Client, path string, q url.Values, body []byte, fp string) (*T, bool, error) {
 	u := cl.base + path + "?" + q.Encode()
@@ -255,9 +248,6 @@ func request[T any](ctx context.Context, cl *Client, path string, q url.Values, 
 		req.Header.Set("Content-Type", "text/plain")
 		if fp != "" {
 			req.Header.Set(server.FingerprintHeader, fp)
-		}
-		if cl.tenant != "" {
-			req.Header.Set(server.TenantHeader, cl.tenant)
 		}
 		resp, err := cl.hc.Do(req)
 		last := attempt >= pol.MaxAttempts
@@ -366,9 +356,6 @@ func get[T any](ctx context.Context, cl *Client, path string) (*T, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cl.base+path, nil)
 	if err != nil {
 		return nil, fmt.Errorf("seqlearn: client: %w", err)
-	}
-	if cl.tenant != "" {
-		req.Header.Set(server.TenantHeader, cl.tenant)
 	}
 	resp, err := cl.hc.Do(req)
 	if err != nil {

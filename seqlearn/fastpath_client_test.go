@@ -133,23 +133,6 @@ func TestClientFingerprintFastPath(t *testing.T) {
 	}
 }
 
-// TestClientTenantHeader: SetTenant flows through to the daemon's
-// per-tenant accounting.
-func TestClientTenantHeader(t *testing.T) {
-	srv := server.New(server.Config{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	cl := seqlearn.NewClient(ts.URL)
-	cl.SetTenant("ci-bots")
-	if _, err := cl.Learn(context.Background(), seqlearn.Figure2(), seqlearn.ServiceLearnParams{}); err != nil {
-		t.Fatal(err)
-	}
-	if st := srv.StatsSnapshot(); st.Tenants["ci-bots"].Requests != 1 {
-		t.Fatalf("tenant stats = %+v", st.Tenants)
-	}
-}
-
 // TestClientRejectsMalformedFingerprint: a daemon answer with an empty
 // fingerprint is an error, and the client does not cache it — the next
 // request uploads the body again instead of sending a header the daemon
