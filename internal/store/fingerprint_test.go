@@ -29,7 +29,7 @@ const fingerprintsPath = "testdata/fingerprints.txt"
 
 // pinnedFingerprints computes every content address the golden file pins,
 // one "key fingerprint" line each, in a fixed order: Fingerprint of the
-// two paper figures and every suite circuit up to 10k gates under three
+// two paper figures and every suite circuit up to 10k gates under six
 // learning option sets, and ATPGFingerprint of s382 and s953 under the
 // atpg-campaign benchmark's run options (with and without a
 // pre-untestable list).
@@ -47,6 +47,9 @@ func pinnedFingerprints() []string {
 		{"default", learn.Options{}},
 		{"single", learn.Options{SingleNodeOnly: true}},
 		{"frames3", learn.Options{MaxFrames: 3}},
+		{"skipcomb", learn.Options{SkipComb: true}},
+		{"noties", learn.Options{DisableTies: true}},
+		{"noearly", learn.Options{DisableEarlyStop: true}},
 	}
 	var lines []string
 	for _, c := range circs {
