@@ -1,7 +1,8 @@
-// Benchmarks regenerating every table and figure of the paper (see
-// DESIGN.md §5 for the experiment index and EXPERIMENTS.md for recorded
-// results). Sizes are bounded so `go test -bench=.` finishes in minutes;
-// `cmd/tables` without -quick runs the unbounded sweep.
+// Benchmarks regenerating every table and figure of the paper (Tables 1–5
+// and Figure 2, one BenchmarkTable*/BenchmarkFigure* each), plus the
+// pipeline and ablation benchmarks. Sizes are bounded so `go test
+// -bench=.` finishes in minutes; `cmd/tables` without -quick runs the
+// unbounded sweep.
 package repro_test
 
 import (
@@ -430,7 +431,7 @@ func BenchmarkATPGCampaign(b *testing.B) {
 
 // BenchmarkAblationForwardVsInjection compares the paper's forward-only
 // sequential sweep against the classical 2-injections-per-node
-// combinational learner on the same circuit (DESIGN.md §6).
+// combinational learner on the same circuit.
 func BenchmarkAblationForwardVsInjection(b *testing.B) {
 	c := gen.MustBuild("s5378")
 	b.Run("sequential-forward", func(b *testing.B) {
@@ -447,7 +448,7 @@ func BenchmarkAblationForwardVsInjection(b *testing.B) {
 }
 
 // BenchmarkAblationTies measures the multiple-node phase with and without
-// tie constants (DESIGN.md §6).
+// tie constants.
 func BenchmarkAblationTies(b *testing.B) {
 	c := gen.MustBuild("s953")
 	b.Run("with-ties", func(b *testing.B) {
@@ -462,7 +463,8 @@ func BenchmarkAblationTies(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationEquiv measures equivalence identification and use.
+// BenchmarkAblationEquiv measures learning, which always identifies and
+// uses gate equivalences, and equivalence identification alone.
 func BenchmarkAblationEquiv(b *testing.B) {
 	c := gen.MustBuild("s953")
 	b.Run("with-equivalences", func(b *testing.B) {
@@ -470,22 +472,17 @@ func BenchmarkAblationEquiv(b *testing.B) {
 			learn.Learn(c, learn.Options{SkipComb: true})
 		}
 	})
-	b.Run("without-equivalences", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			learn.Learn(c, learn.Options{SkipComb: true, DisableEquiv: true})
-		}
-	})
 	b.Run("equiv-find-only", func(b *testing.B) {
 		lr := learn.Learn(c, learn.Options{SkipComb: true})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			equiv.Find(c, lr.Ties, equiv.Options{})
+			equiv.Find(c, lr.Ties)
 		}
 	})
 }
 
 // BenchmarkAblationEarlyStop measures the repeated-state stopping rule
-// (DESIGN.md §6: it turns the 50-frame cap into a few frames per stem).
+// (it turns the 50-frame cap into a few frames per stem).
 func BenchmarkAblationEarlyStop(b *testing.B) {
 	c := gen.MustBuild("s1423")
 	b.Run("early-stop", func(b *testing.B) {

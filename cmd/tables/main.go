@@ -1,6 +1,7 @@
 // Command tables regenerates the paper's tables on the synthetic benchmark
-// suite (see DESIGN.md for the substitution rules and EXPERIMENTS.md for
-// recorded results).
+// suite. Each suite circuit is a stand-in with its paper circuit's
+// flip-flop and gate counts (package gen); Tables 3 and 4 print the
+// paper's values in parentheses beside the measured ones.
 //
 // Usage:
 //

@@ -43,11 +43,7 @@ func main() {
 	for _, cls := range res.EquivClasses {
 		fmt.Printf("   %s ≡", c.NameOf(cls.Rep))
 		for _, m := range cls.Members {
-			inv := ""
-			if m.Inv {
-				inv = "¬"
-			}
-			fmt.Printf(" %s%s", inv, c.NameOf(m.Node))
+			fmt.Printf(" %s", c.NameOf(m))
 		}
 		fmt.Println()
 	}

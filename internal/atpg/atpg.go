@@ -20,8 +20,8 @@
 // Untestability: a fault is classified untestable when the search space is
 // exhausted without hitting the backtrack limit at every window size up to
 // the maximum. With an unknown initial state this is the same bounded-proof
-// convention sequential ATPG tools such as HITEC report (documented in
-// DESIGN.md); sequential learning increases the count because conflicts
+// convention sequential ATPG tools such as HITEC report; sequential
+// learning increases the count because conflicts
 // surface early enough to exhaust the search instead of aborting.
 package atpg
 

@@ -7,8 +7,15 @@
 // relations per learning stage), and every worked derivation in Sections
 // 3.1-3.2 (the multiple-node injections for F3=0, F1=0 and G15=1, the tie
 // proofs for G3 and G15, and the G2≡G4 equivalence narrative). The
-// reconstruction reproduces all of those observations; the four small
-// deviations that remain are documented in DESIGN.md (D1-D4).
+// reconstruction reproduces all of those observations, with four small
+// deviations:
+//
+//   - D1: the I1 rows of Table 1 also list G12, a twin of G3;
+//   - D2: the F2=0 row of Table 1 lists F5=0 at T=1, which the paper's own
+//     Table 2 requires;
+//   - D3: G12 is combinationally tied to 0 alongside G3;
+//   - D4: the reconstruction reaches the two relations of Table 2's
+//     gate-equivalence column through the tie constants.
 package circuits
 
 import (

@@ -18,58 +18,22 @@ import (
 	"repro/internal/sim"
 )
 
-// Options tunes equivalence identification.
-type Options struct {
-	// Rounds of 64 random patterns for signature computation (default 8).
-	Rounds int
-	// MaxSupport bounds exhaustive verification (default 14 inputs).
-	MaxSupport int
-	// MaxClass bounds the size of a candidate class considered for
-	// verification (default 32); larger classes are dropped.
-	MaxClass int
-	// Seed for the deterministic pattern generator.
-	Seed uint64
-	// IncludeComplement also links gates that are complements of each
-	// other (an extension beyond the paper's direct equivalence).
-	IncludeComplement bool
-}
-
-func (o *Options) defaults() {
-	if o.Rounds <= 0 {
-		o.Rounds = 8
-	}
-	if o.MaxSupport <= 0 {
-		o.MaxSupport = 14
-	}
-	if o.MaxClass <= 0 {
-		o.MaxClass = 32
-	}
-	if o.Seed == 0 {
-		o.Seed = 0x5eed
-	}
-}
-
-// Normalized returns the options with unset fields folded to their
-// effective defaults: the form consumers that key caches on options
-// (internal/store) hash, so an explicit default and the zero value resolve
-// to the same artifact without duplicating the default literals elsewhere.
-func (o Options) Normalized() Options {
-	o.defaults()
-	return o
-}
+// Identification settings: signatures over rounds × 64 random patterns
+// from a fixed seed, exhaustive verification of supports up to maxSupport
+// inputs, and candidate classes of at most maxClass gates (larger ones are
+// dropped).
+const (
+	rounds     = 8
+	maxSupport = 14
+	maxClass   = 32
+	seed       = 0x5eed
+)
 
 // Class is a verified equivalence class: every member equals the
-// representative (possibly complemented when Inv is set).
+// representative.
 type Class struct {
 	Rep     netlist.NodeID
-	Members []Member
-}
-
-// Member is one gate of a class with its polarity relative to the
-// representative.
-type Member struct {
-	Node netlist.NodeID
-	Inv  bool
+	Members []netlist.NodeID
 }
 
 // Result holds verified equivalence classes and the partner map consumed by
@@ -80,33 +44,29 @@ type Result struct {
 	// Partners is wired as a star around each representative, so that one
 	// known member propagates to the whole class through the simulator's
 	// recursive assignment.
-	Partners map[netlist.NodeID][]sim.EqPartner
+	Partners map[netlist.NodeID][]netlist.NodeID
 }
 
 // Find identifies verified equivalence classes among combinational gates.
-func Find(c *netlist.Circuit, ties map[netlist.NodeID]logic.V, opt Options) *Result {
-	opt.defaults()
-	return findWith(c, ties, opt, newVerifier(c, ties, opt.MaxSupport).equal)
+func Find(c *netlist.Circuit, ties map[netlist.NodeID]logic.V) *Result {
+	return findWith(c, ties, newVerifier(c, ties, maxSupport).equal)
 }
 
-// findWith is Find with defaulted options and the exact check that verifies
-// each candidate member against its representative.
-func findWith(c *netlist.Circuit, ties map[netlist.NodeID]logic.V, opt Options, equal func(a, b netlist.NodeID, inv bool) bool) *Result {
+// findWith is Find with the exact check that verifies each candidate
+// member against its representative.
+func findWith(c *netlist.Circuit, ties map[netlist.NodeID]logic.V, equal func(a, b netlist.NodeID) bool) *Result {
 	ps := sim.NewPatternSim(c)
-	r := logic.NewRand64(opt.Seed)
+	r := logic.NewRand64(seed)
 
 	sig := make([]uint64, c.NumNodes())
-	sigInv := make([]uint64, c.NumNodes())
 	const prime = 1099511628211
 	for i := range sig {
 		sig[i] = 14695981039346656037
-		sigInv[i] = 14695981039346656037
 	}
-	for round := 0; round < opt.Rounds; round++ {
+	for range rounds {
 		words := ps.Round(r, ties)
 		for id := range words {
 			sig[id] = (sig[id] ^ words[id]) * prime
-			sigInv[id] = (sigInv[id] ^ ^words[id]) * prime
 		}
 	}
 
@@ -123,41 +83,11 @@ func findWith(c *netlist.Circuit, ties map[netlist.NodeID]logic.V, opt Options, 
 		groups[sig[id]] = append(groups[sig[id]], netlist.NodeID(id))
 	}
 
-	res := &Result{Partners: map[netlist.NodeID][]sim.EqPartner{}}
+	res := &Result{Partners: map[netlist.NodeID][]netlist.NodeID{}}
 	var keys []uint64
 	for k, g := range groups {
 		if len(g) > 1 {
 			keys = append(keys, k)
-		}
-	}
-	// Complement candidates: a gate whose inverted signature matches a
-	// group joins it with Inv polarity.
-	invJoin := map[uint64][]netlist.NodeID{}
-	if opt.IncludeComplement {
-		for k := range groups {
-			invJoin[k] = nil
-		}
-		for id := range c.Nodes {
-			n := &c.Nodes[id]
-			if n.Kind != netlist.KindGate {
-				continue
-			}
-			if _, tied := ties[netlist.NodeID(id)]; tied {
-				continue
-			}
-			if g, ok := groups[sigInv[id]]; ok && len(g) > 0 && sigInv[id] != sig[id] {
-				invJoin[sigInv[id]] = append(invJoin[sigInv[id]], netlist.NodeID(id))
-				found := false
-				for _, kk := range keys {
-					if kk == sigInv[id] {
-						found = true
-						break
-					}
-				}
-				if !found && len(g)+len(invJoin[sigInv[id]]) > 1 {
-					keys = append(keys, sigInv[id])
-				}
-			}
 		}
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
@@ -165,8 +95,7 @@ func findWith(c *netlist.Circuit, ties map[netlist.NodeID]logic.V, opt Options, 
 	seen := make(map[netlist.NodeID]bool)
 	for _, k := range keys {
 		cand := groups[k]
-		inv := invJoin[k]
-		if len(cand)+len(inv) > opt.MaxClass || len(cand) == 0 {
+		if len(cand) > maxClass {
 			continue
 		}
 		rep := cand[0]
@@ -175,20 +104,8 @@ func findWith(c *netlist.Circuit, ties map[netlist.NodeID]logic.V, opt Options, 
 		}
 		cls := Class{Rep: rep}
 		for _, m := range cand[1:] {
-			if seen[m] {
-				continue
-			}
-			if equal(rep, m, false) {
-				cls.Members = append(cls.Members, Member{Node: m})
-				seen[m] = true
-			}
-		}
-		for _, m := range inv {
-			if seen[m] || m == rep {
-				continue
-			}
-			if equal(rep, m, true) {
-				cls.Members = append(cls.Members, Member{Node: m, Inv: true})
+			if !seen[m] && equal(rep, m) {
+				cls.Members = append(cls.Members, m)
 				seen[m] = true
 			}
 		}
@@ -198,8 +115,8 @@ func findWith(c *netlist.Circuit, ties map[netlist.NodeID]logic.V, opt Options, 
 		seen[rep] = true
 		res.Classes = append(res.Classes, cls)
 		for _, m := range cls.Members {
-			res.Partners[cls.Rep] = append(res.Partners[cls.Rep], sim.EqPartner{Node: m.Node, Inv: m.Inv})
-			res.Partners[m.Node] = append(res.Partners[m.Node], sim.EqPartner{Node: cls.Rep, Inv: m.Inv})
+			res.Partners[rep] = append(res.Partners[rep], m)
+			res.Partners[m] = append(res.Partners[m], rep)
 		}
 	}
 	return res
@@ -293,9 +210,9 @@ var laneBits = [6]uint64{
 	0xffffffff00000000,
 }
 
-// equal exhaustively checks a == b (or a == ¬b when inv) over the cone's
-// support. It returns false when the support is too large to verify.
-func (v *verifier) equal(a, b netlist.NodeID, inv bool) bool {
+// equal exhaustively checks a == b over the cone's support. It returns
+// false when the support is too large to verify.
+func (v *verifier) equal(a, b netlist.NodeID) bool {
 	if !v.cone(a, b) {
 		return false
 	}
@@ -336,16 +253,12 @@ func (v *verifier) equal(a, b netlist.NodeID, inv bool) bool {
 			}
 			v.words[id] = logic.BEvalSlice(v.c.Nodes[id].Op, vals)
 		}
-		wa, wb := v.words[a], v.words[b]
-		if inv {
-			wb = ^wb
-		}
 		// Only lanes below total are meaningful.
 		mask := ^uint64(0)
 		if total-base < logic.W {
 			mask = (uint64(1) << (total - base)) - 1
 		}
-		if (wa^wb)&mask != 0 {
+		if (v.words[a]^v.words[b])&mask != 0 {
 			return false
 		}
 	}

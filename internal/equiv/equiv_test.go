@@ -9,10 +9,6 @@ import (
 	"repro/internal/sim"
 )
 
-func find(c *netlist.Circuit, ties map[netlist.NodeID]logic.V) *Result {
-	return Find(c, ties, Options{})
-}
-
 func classOf(t *testing.T, r *Result, c *netlist.Circuit, name string) *Class {
 	t.Helper()
 	id := c.MustLookup(name)
@@ -21,7 +17,7 @@ func classOf(t *testing.T, r *Result, c *netlist.Circuit, name string) *Class {
 			return &r.Classes[i]
 		}
 		for _, m := range r.Classes[i].Members {
-			if m.Node == id {
+			if m == id {
 				return &r.Classes[i]
 			}
 		}
@@ -40,7 +36,7 @@ func TestIdenticalTwins(t *testing.T) {
 	b.PO("o2", netlist.P("g2"))
 	b.PO("o3", netlist.P("g3"))
 	c := b.MustBuild()
-	r := find(c, nil)
+	r := Find(c, nil)
 	cls := classOf(t, r, c, "g1")
 	if cls == nil {
 		t.Fatal("g1/g2 class not found")
@@ -63,33 +59,9 @@ func TestStructurallyDifferentEquivalence(t *testing.T) {
 	b.PO("o1", netlist.P("g1"))
 	b.PO("o2", netlist.P("g2"))
 	c := b.MustBuild()
-	r := find(c, nil)
+	r := Find(c, nil)
 	if classOf(t, r, c, "g1") == nil {
 		t.Fatal("De Morgan pair not identified")
-	}
-}
-
-func TestComplementEquivalence(t *testing.T) {
-	b := netlist.NewBuilder("cmp")
-	b.PI("a")
-	b.PI("b")
-	b.Gate("g1", logic.OpAnd, netlist.P("a"), netlist.P("b"))
-	b.Gate("g2", logic.OpNand, netlist.P("a"), netlist.P("b"))
-	b.PO("o1", netlist.P("g1"))
-	b.PO("o2", netlist.P("g2"))
-	c := b.MustBuild()
-	r := Find(c, nil, Options{IncludeComplement: true})
-	cls := classOf(t, r, c, "g1")
-	if cls == nil {
-		t.Fatal("complement pair not identified")
-	}
-	if len(cls.Members) != 1 || !cls.Members[0].Inv {
-		t.Fatalf("class = %+v", cls)
-	}
-	// Without the option the pair must not appear.
-	r = Find(c, nil, Options{})
-	if classOf(t, r, c, "g1") != nil {
-		t.Fatal("complement pair identified without the option")
 	}
 }
 
@@ -110,10 +82,10 @@ func TestOneMintermDifferenceRejected(t *testing.T) {
 	b.PO("o2", netlist.P("g2"))
 	c := b.MustBuild()
 	v := newVerifier(c, nil, 14)
-	if v.equal(c.MustLookup("g1"), c.MustLookup("g2"), false) {
+	if v.equal(c.MustLookup("g1"), c.MustLookup("g2")) {
 		t.Fatal("verifier accepted non-equivalent gates")
 	}
-	if !v.equal(c.MustLookup("g1"), c.MustLookup("g1"), false) {
+	if !v.equal(c.MustLookup("g1"), c.MustLookup("g1")) {
 		t.Fatal("verifier rejected identity")
 	}
 }
@@ -128,7 +100,7 @@ func TestTieFoldingEnablesEquivalence(t *testing.T) {
 		c.MustLookup("G3"):  logic.Zero,
 		c.MustLookup("G12"): logic.Zero,
 	}
-	r := Find(c, ties, Options{})
+	r := Find(c, ties)
 	found := false
 	for _, cls := range r.Classes {
 		in := func(n netlist.NodeID) bool {
@@ -136,7 +108,7 @@ func TestTieFoldingEnablesEquivalence(t *testing.T) {
 				return true
 			}
 			for _, m := range cls.Members {
-				if m.Node == n {
+				if m == n {
 					return true
 				}
 			}
@@ -167,11 +139,11 @@ func TestSequentialTieFoldingMatters(t *testing.T) {
 	b.PO("o1", netlist.P("g1"))
 	b.PO("o2", netlist.P("g2"))
 	c := b.MustBuild()
-	if classOf(t, find(c, nil), c, "g1") != nil {
+	if classOf(t, Find(c, nil), c, "g1") != nil {
 		t.Fatal("g1 ≡ g2 must not hold without the tie")
 	}
 	ties := map[netlist.NodeID]logic.V{c.MustLookup("gt"): logic.Zero}
-	if classOf(t, Find(c, ties, Options{}), c, "g1") == nil {
+	if classOf(t, Find(c, ties), c, "g1") == nil {
 		t.Fatal("g1 ≡ g2 must hold once the sequential tie is folded in")
 	}
 }
@@ -187,7 +159,7 @@ func TestPartnersStar(t *testing.T) {
 	b.PO("o2", netlist.P("g2"))
 	b.PO("o3", netlist.P("g3"))
 	c := b.MustBuild()
-	r := find(c, nil)
+	r := Find(c, nil)
 	cls := classOf(t, r, c, "g1")
 	if cls == nil || len(cls.Members) != 2 {
 		t.Fatalf("classes = %+v", r.Classes)
@@ -195,11 +167,11 @@ func TestPartnersStar(t *testing.T) {
 	// The partner map must propagate from any member to all others via
 	// the simulator.
 	e := sim.NewEngine(c)
-	res := e.Run([]sim.Injection{{Frame: 0, Node: cls.Members[0].Node, Val: logic.One}},
+	res := e.Run([]sim.Injection{{Frame: 0, Node: cls.Members[0], Val: logic.One}},
 		sim.Options{Equiv: r.Partners})
 	for _, m := range cls.Members {
-		if res.Frames[0].Get(m.Node) != logic.One {
-			t.Errorf("member %s not propagated", c.NameOf(m.Node))
+		if res.Frames[0].Get(m) != logic.One {
+			t.Errorf("member %s not propagated", c.NameOf(m))
 		}
 	}
 	if res.Frames[0].Get(cls.Rep) != logic.One {
@@ -213,13 +185,13 @@ func TestTiedGatesExcluded(t *testing.T) {
 		c.MustLookup("G3"):  logic.Zero,
 		c.MustLookup("G12"): logic.Zero,
 	}
-	r := Find(c, ties, Options{})
+	r := Find(c, ties)
 	for _, cls := range r.Classes {
 		if _, tied := ties[cls.Rep]; tied {
 			t.Fatal("tied gate used as class rep")
 		}
 		for _, m := range cls.Members {
-			if _, tied := ties[m.Node]; tied {
+			if _, tied := ties[m]; tied {
 				t.Fatal("tied gate joined a class")
 			}
 		}
@@ -241,11 +213,11 @@ func TestSupportBoundDrops(t *testing.T) {
 	b.PO("o1", netlist.P("g1"))
 	b.PO("o2", netlist.P("g2"))
 	c := b.MustBuild()
-	r := Find(c, nil, Options{MaxSupport: 14})
+	r := Find(c, nil)
 	if classOf(t, r, c, "g1") != nil {
 		t.Fatal("wide pair must be dropped, not trusted")
 	}
-	r = Find(c, nil, Options{MaxSupport: 20})
+	r = findWith(c, nil, newVerifier(c, nil, 20).equal)
 	if classOf(t, r, c, "g1") == nil {
 		t.Fatal("raising the bound must verify the pair")
 	}

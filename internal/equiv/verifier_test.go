@@ -49,7 +49,7 @@ func (v *mapVerifier) cone(a, b netlist.NodeID) (support, order []netlist.NodeID
 	return support, gates, true
 }
 
-func (v *mapVerifier) equal(a, b netlist.NodeID, inv bool) bool {
+func (v *mapVerifier) equal(a, b netlist.NodeID) bool {
 	support, order, ok := v.cone(a, b)
 	if !ok {
 		return false
@@ -85,9 +85,6 @@ func (v *mapVerifier) equal(a, b netlist.NodeID, inv bool) bool {
 			v.words[id] = logic.BEvalSlice(v.c.Nodes[id].Op, vals)
 		}
 		wa, wb := v.words[a], v.words[b]
-		if inv {
-			wb = ^wb
-		}
 		mask := ^uint64(0)
 		if total-base < logic.W {
 			mask = (uint64(1) << (total - base)) - 1
@@ -197,17 +194,16 @@ func randTies(c *netlist.Circuit, seed uint64, percent int) map[netlist.NodeID]l
 // verifier it replaced: Find's classes and partner map must equal those
 // the reference check produces, and both checks must agree on random
 // pairs, over random circuits and tie sets (ties in and out of each cone,
-// support bounds that are hit, complements on and off).
+// support bounds that are hit).
 func TestFindMatchesMapVerifier(t *testing.T) {
 	classes, bounded, equalPairs := 0, 0, 0
 	for seed := uint64(1); seed <= 40; seed++ {
 		c := randEquivCircuit(seed, 4+int(seed%9), 40+int(seed%5)*30, int(seed%4))
 		ties := randTies(c, seed*7919, []int{0, 3, 10, 25}[seed%4])
-		opt := Options{IncludeComplement: seed%2 == 1, MaxSupport: []int{2, 4, 8, 14}[seed/4%4]}
-		got := Find(c, ties, opt)
-		norm := opt.Normalized()
-		ref := &mapVerifier{c: c, ties: ties, maxSupport: norm.MaxSupport}
-		want := findWith(c, ties, norm, ref.equal)
+		support := []int{2, 4, 8, 14}[seed/4%4]
+		got := findWith(c, ties, newVerifier(c, ties, support).equal)
+		ref := &mapVerifier{c: c, ties: ties, maxSupport: support}
+		want := findWith(c, ties, ref.equal)
 		if !reflect.DeepEqual(got.Classes, want.Classes) {
 			t.Fatalf("seed %d: classes\n%+v\nwant\n%+v", seed, got.Classes, want.Classes)
 		}
@@ -216,19 +212,18 @@ func TestFindMatchesMapVerifier(t *testing.T) {
 		}
 		classes += len(got.Classes)
 
-		v := newVerifier(c, ties, norm.MaxSupport)
+		v := newVerifier(c, ties, support)
 		r := logic.NewRand64(seed)
 		for range 300 {
 			a := netlist.NodeID(r.Intn(c.NumNodes()))
 			b := netlist.NodeID(r.Intn(c.NumNodes()))
-			inv := r.Bool()
 			if _, _, ok := ref.cone(a, b); !ok {
 				bounded++
 			}
-			g, w := v.equal(a, b, inv), ref.equal(a, b, inv)
+			g, w := v.equal(a, b), ref.equal(a, b)
 			if g != w {
-				t.Fatalf("seed %d: equal(%s, %s, inv=%v) = %v, reference %v",
-					seed, c.NameOf(a), c.NameOf(b), inv, g, w)
+				t.Fatalf("seed %d: equal(%s, %s) = %v, reference %v",
+					seed, c.NameOf(a), c.NameOf(b), g, w)
 			}
 			if w && a != b {
 				equalPairs++

@@ -3,7 +3,7 @@
 // simulator with fault dropping — the machinery behind the ATPG driver and
 // the paper's Table 4/Table 5 experiments.
 //
-// Modeling note (documented in DESIGN.md): faults live on node outputs
+// Modeling note: faults live on node outputs
 // (primary inputs, gates, sequential elements). Fanout-branch and
 // input-pin faults are not modeled separately; the collapsed universe is
 // correspondingly smaller than the paper's per-line universe, which shifts

@@ -266,7 +266,12 @@ func TestRunAllAndName(t *testing.T) {
 	r := logic.NewRand64(5)
 	s.LoadSequence(randVectors(r, len(c.PIs), 6), nil)
 	reps, _ := Collapse(c)
-	det := s.RunAll(reps)
+	var det []Fault
+	for _, f := range reps {
+		if ok, _ := s.Detects(f); ok {
+			det = append(det, f)
+		}
+	}
 	if len(det) == 0 {
 		t.Fatal("random sequence detected nothing on Figure 2")
 	}
@@ -275,8 +280,5 @@ func TestRunAllAndName(t *testing.T) {
 	}
 	if s.Frames() != 6 {
 		t.Fatalf("Frames = %d", s.Frames())
-	}
-	if s.GoodValue(0, c.MustLookup("G9")) == 99 {
-		t.Fatal("unreachable")
 	}
 }

@@ -109,9 +109,6 @@ func (s *Sim) LoadSequence(vectors [][]logic.V, init []logic.V) {
 // Frames returns the number of loaded frames.
 func (s *Sim) Frames() int { return len(s.goodVals) }
 
-// GoodValue returns the good-machine value of node n in frame t.
-func (s *Sim) GoodValue(t int, n netlist.NodeID) logic.V { return s.goodVals[t][n] }
-
 // faultyVal reads the faulty value of n in the current frame overlay.
 func (s *Sim) faultyVal(t int, n netlist.NodeID) logic.V {
 	if s.stamp[n] == s.cur {
@@ -314,16 +311,4 @@ func (s *Sim) detectInto(out []Detection, faults []Fault, lo, hi int) {
 		}
 		out[i] = Detection{Detected: ok, Frame: fr}
 	}
-}
-
-// RunAll simulates every fault in faults against the loaded sequence and
-// returns the detected ones.
-func (s *Sim) RunAll(faults []Fault) []Fault {
-	var detected []Fault
-	for _, f := range faults {
-		if ok, _ := s.Detects(f); ok {
-			detected = append(detected, f)
-		}
-	}
-	return detected
 }

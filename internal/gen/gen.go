@@ -2,8 +2,8 @@
 // the experiment harness.
 //
 // The paper evaluates on ISCAS 89/93 netlists, four retimed circuits and
-// three industrial designs, none of which can be redistributed here (see
-// DESIGN.md). Each stand-in matches the paper circuit's flip-flop and gate
+// three industrial designs, none of which can be redistributed here. Each
+// stand-in matches the paper circuit's flip-flop and gate
 // counts exactly and is generated with structural motifs that exercise the
 // paper's mechanisms:
 //

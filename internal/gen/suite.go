@@ -16,7 +16,8 @@ type Entry struct {
 	Retimed    bool // one of the four retimed circuits
 	Industrial bool // one of the three industrial circuits
 
-	// Paper-reported results, for EXPERIMENTS.md comparison columns.
+	// Paper-reported results, printed in parentheses beside the measured
+	// ones in Table 3 (internal/harness).
 	PaperFFFF   int     // Table 3 "FF-FF" relations
 	PaperGateFF int     // Table 3 "Gate-FF" relations
 	PaperCPU    float64 // Table 3 CPU seconds (167 MHz Sun Ultra 1)

@@ -43,8 +43,8 @@ import (
 )
 
 // Options configures a learning run. The zero value is the paper's
-// configuration (50 frames, ties and equivalences on, full multiple-node
-// phase).
+// configuration: 50 frames, single-node learning, gate equivalences with
+// the learned ties folded in, and one multiple-node pass that uses both.
 type Options struct {
 	// MaxFrames caps forward simulation (default sim.DefaultMaxFrames).
 	MaxFrames int
@@ -56,18 +56,9 @@ type Options struct {
 	// the multiple-node phase (ablation).
 	DisableTies bool
 
-	// DisableEquiv skips gate-equivalence identification and use
-	// (ablation).
-	DisableEquiv bool
-
 	// DisableEarlyStop turns off the repeated-state stopping rule
 	// (ablation; the paper's rule is on by default).
 	DisableEarlyStop bool
-
-	// TieFixpoint re-runs the multiple-node phase with newly proven ties
-	// folded in until no new tie appears (an extension beyond the paper's
-	// single pass). At most 4 iterations.
-	TieFixpoint bool
 
 	// KeepRows retains the single-node simulation rows (Table 1 output).
 	KeepRows bool
@@ -78,10 +69,6 @@ type Options struct {
 	// (frame-0-derived only) — useful on very large circuits where the
 	// 2-injections-per-gate combinational sweep dominates runtime.
 	SkipComb bool
-
-	// MaxPairsPerStem bounds contrapositive pairing work per stem
-	// (default 1<<20); overflow is counted in Stats.PairsSkipped.
-	MaxPairsPerStem int
 
 	// Parallelism is the number of simulation workers sharding the
 	// single-node, multiple-node and classical combinational sweeps (0
@@ -109,30 +96,27 @@ type Options struct {
 	// An observation knob like Parallelism: excluded from store
 	// fingerprints, no effect on results.
 	Span *obs.Span
-
-	// Equiv tunes equivalence identification.
-	Equiv equiv.Options
 }
+
+// maxPairsPerStem bounds contrapositive pairing work per stem; overflow is
+// counted in Stats.PairsSkipped.
+const maxPairsPerStem = 1 << 20
 
 func (o *Options) defaults() {
 	if o.MaxFrames <= 0 {
 		o.MaxFrames = sim.DefaultMaxFrames
 	}
-	if o.MaxPairsPerStem <= 0 {
-		o.MaxPairsPerStem = 1 << 20
-	}
 	o.Parallelism = sim.ClampWorkers(o.Parallelism)
 }
 
 // Normalized returns the options with unset fields folded to their
-// effective defaults (including the nested equivalence options): the form
-// consumers that key caches on options (internal/store) hash, so an
-// explicit default and the zero value resolve to the same artifact. Note
+// effective defaults: the form consumers that key caches on options
+// (internal/store) hash, so an explicit default and the zero value
+// resolve to the same artifact. Note
 // that Parallelism normalizes to a machine-dependent worker count; cache
 // keys must ignore it (results are bit-identical for every value).
 func (o Options) Normalized() Options {
 	o.defaults()
-	o.Equiv = o.Equiv.Normalized()
 	return o
 }
 
@@ -164,7 +148,6 @@ type Stats struct {
 	Frames       int
 	Conflicts    int
 	PairsSkipped int
-	NewTiesByFix int
 	Duration     time.Duration
 }
 
@@ -230,7 +213,7 @@ type learner struct {
 	rowCache map[rowKey]*sim.Result
 	dFeeder  []bool
 
-	partners map[netlist.NodeID][]sim.EqPartner
+	partners map[netlist.NodeID][]netlist.NodeID
 
 	// trace, when non-nil, collects the simulation workload of every sweep
 	// (CaptureSweep); curTies mirrors the constants last installed by
@@ -299,14 +282,12 @@ func learnWith(c *netlist.Circuit, opt Options, lanes int, trace *SweepWorkload)
 	}
 
 	// Phase 2: gate equivalences with ties folded in.
-	if !opt.DisableEquiv {
-		sp = opt.Span.Start("equiv")
-		eq := equiv.Find(c, l.tiesForSim(), opt.Equiv)
-		l.res.EquivClasses = eq.Classes
-		l.partners = eq.Partners
-		sp.Add("classes", int64(len(eq.Classes)))
-		sp.End()
-	}
+	sp = opt.Span.Start("equiv")
+	eq := equiv.Find(c, l.tiesForSim())
+	l.res.EquivClasses = eq.Classes
+	l.partners = eq.Partners
+	sp.Add("classes", int64(len(eq.Classes)))
+	sp.End()
 	if l.canceled() {
 		return l.abort(start)
 	}
@@ -319,17 +300,6 @@ func learnWith(c *netlist.Circuit, opt Options, lanes int, trace *SweepWorkload)
 		l.setTies(l.tiesForSim())
 		for i, cls := range classes {
 			l.multiNode(cls, l.records[i])
-		}
-		for iter := 0; opt.TieFixpoint && iter < 3 && !l.canceled(); iter++ {
-			before := len(l.res.Ties)
-			l.setTies(l.tiesForSim())
-			for i, cls := range classes {
-				l.multiNode(cls, l.records[i])
-			}
-			l.res.Stats.NewTiesByFix += len(l.res.Ties) - before
-			if len(l.res.Ties) == before {
-				break
-			}
 		}
 		l.setTies(nil)
 		sp.Add("targets", int64(l.res.Stats.Targets))
@@ -500,7 +470,7 @@ func (l *learner) singleNode(cls int32, records map[imply.Lit][]record) {
 // contrapositive law: A@t in row0 and B@t in row1 yield ¬A ⟹ B (same
 // frame); identical entries in both rows prove a tie.
 func (l *learner) pairRows(s netlist.NodeID, row0, row1 []sim.Frame) {
-	budget := l.opt.MaxPairsPerStem
+	budget := maxPairsPerStem
 	frames := len(row0)
 	if len(row1) < frames {
 		frames = len(row1)
@@ -641,8 +611,7 @@ func (l *learner) multiNode(cls int32, records map[imply.Lit][]record) {
 	}
 
 	// Deterministic merge. Ties proven during this pass are applied only
-	// afterwards, keeping the pass order-independent; TieFixpoint loops
-	// feed them back.
+	// afterwards, keeping the pass order-independent.
 	newTies := map[netlist.NodeID]Tie{}
 	for i, lit := range targets {
 		o := &out[i]

@@ -229,9 +229,6 @@ func TestV5Not(t *testing.T) {
 	if D.Not5() != DBar || DBar.Not5() != D || Zero5.Not5() != One5 || X5.Not5() != X5 {
 		t.Fatal("Not5 broken")
 	}
-	if FromV(One) != One5 || FromV(Zero) != Zero5 || FromV(X) != X5 {
-		t.Fatal("FromV broken")
-	}
 	if !D.Faulted() || One5.Faulted() {
 		t.Fatal("Faulted broken")
 	}

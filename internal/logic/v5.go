@@ -93,18 +93,6 @@ func (v V5) Not5() V5 {
 	}
 }
 
-// FromV lifts a three-valued value into the five-valued algebra.
-func FromV(v V) V5 {
-	switch v {
-	case Zero:
-		return Zero5
-	case One:
-		return One5
-	default:
-		return X5
-	}
-}
-
 // Eval5Slice evaluates op over five-valued inputs by evaluating the good and
 // faulty machines separately and composing the result. This is exact for the
 // monotone composite semantics used in ATPG.

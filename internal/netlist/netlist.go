@@ -18,7 +18,6 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/logic"
 )
@@ -260,15 +259,4 @@ func (c *Circuit) Stats() Stats {
 func (s Stats) String() string {
 	return fmt.Sprintf("pi=%d po=%d gates=%d dff=%d latch=%d stems=%d classes=%d depth=%d",
 		s.PIs, s.POs, s.Gates, s.DFFs, s.Latches, s.Stems, s.Classes, s.MaxLevel)
-}
-
-// SortedSeqNames returns the names of all sequential elements, sorted; a
-// convenience for stable test output.
-func (c *Circuit) SortedSeqNames() []string {
-	names := make([]string, 0, len(c.Seqs))
-	for _, id := range c.Seqs {
-		names = append(names, c.Nodes[id].Name)
-	}
-	sort.Strings(names)
-	return names
 }

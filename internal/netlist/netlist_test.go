@@ -325,14 +325,6 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
-func TestSortedSeqNames(t *testing.T) {
-	c := small(t)
-	names := c.SortedSeqNames()
-	if len(names) != 2 || names[0] != "q1" || names[1] != "q2" {
-		t.Errorf("SortedSeqNames = %v", names)
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if KindPI.String() != "PI" || KindGate.String() != "GATE" ||
 		KindDFF.String() != "DFF" || KindLatch.String() != "LATCH" || Kind(99).String() != "?" {

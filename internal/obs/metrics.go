@@ -52,22 +52,13 @@ func (c *Counter) Add(delta int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a metric that can go up and down.
+// Gauge is a metric that holds the last value set.
 type Gauge struct {
 	v atomic.Int64
 }
 
 // Set replaces the value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }

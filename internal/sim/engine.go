@@ -63,22 +63,15 @@ const (
 	PropNone                  // multi-port latch, both set+reset, or foreign class
 )
 
-// EqPartner is an equivalence-class partner assignment: when the source
-// node becomes known with value v, Node is asserted to v (or ¬v if Inv).
-type EqPartner struct {
-	Node netlist.NodeID
-	Inv  bool
-}
-
 // Options configures a scheduled simulation run.
 type Options struct {
 	// MaxFrames caps the number of simulated frames (default 50, the
 	// paper's setting).
 	MaxFrames int
 
-	// Equiv lists equivalence partners asserted whenever a node becomes
-	// known.
-	Equiv map[netlist.NodeID][]EqPartner
+	// Equiv lists equivalence partners: whenever a node becomes known,
+	// each of its partners is asserted to the same value.
+	Equiv map[netlist.NodeID][]netlist.NodeID
 
 	// PropModes, indexed like Circuit.Seqs, gates value propagation
 	// across sequential elements; nil means PropBoth everywhere.
@@ -277,15 +270,9 @@ func (e *Engine) assign(n netlist.NodeID, v logic.V, opt *Options) bool {
 			e.queue = append(e.queue, out)
 		}
 	}
-	if opt.Equiv != nil {
-		for _, p := range opt.Equiv[n] {
-			pv := v
-			if p.Inv {
-				pv = v.Not()
-			}
-			if !e.assign(p.Node, pv, opt) {
-				return false
-			}
+	for _, p := range opt.Equiv[n] {
+		if !e.assign(p, v, opt) {
+			return false
 		}
 	}
 	return true

@@ -194,13 +194,5 @@ func (s *FuncSim) Output(i int) logic.V {
 	return s.pin(po.Pin)
 }
 
-// Outputs appends all primary output values to dst and returns it.
-func (s *FuncSim) Outputs(dst []logic.V) []logic.V {
-	for i := range s.c.POs {
-		dst = append(dst, s.Output(i))
-	}
-	return dst
-}
-
 // State returns the current sequential state (aliased; do not modify).
 func (s *FuncSim) State() []logic.V { return s.state }

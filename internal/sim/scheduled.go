@@ -297,10 +297,9 @@ type packedSched struct {
 }
 
 // eqEdge is one directed equivalence assertion: when src is known, its
-// value (inverted if p.Inv) is asserted on p.Node.
+// value is asserted on dst.
 type eqEdge struct {
-	src netlist.NodeID
-	p   EqPartner
+	src, dst netlist.NodeID
 }
 
 // ensureSched allocates the scheduled scratch.
@@ -513,15 +512,9 @@ func (e *PackedEngine) schedApplyEquiv(drive uint64) bool {
 	s.changed = 0
 	for _, ed := range s.eq {
 		v := e.values[ed.src]
-		known := v.Known()
-		if known == 0 {
-			continue
+		if known := v.Known(); known != 0 {
+			e.schedAssert(ed.dst, v, known)
 		}
-		pv := v
-		if ed.p.Inv {
-			pv = v.Not()
-		}
-		e.schedAssert(ed.p.Node, pv, known)
 	}
 	return s.changed&drive != 0
 }
@@ -637,7 +630,7 @@ func (e *PackedEngine) RunScheduled(lanes []LaneRun, opt Options) *ScheduledResu
 				continue
 			}
 			for _, p := range partners {
-				s.eq = append(s.eq, eqEdge{src: n, p: p})
+				s.eq = append(s.eq, eqEdge{src: n, dst: p})
 			}
 		}
 		s.eqMap = mv

@@ -111,13 +111,10 @@ func TestRunScheduledMatchesEngine(t *testing.T) {
 			if r.Intn(3) == 0 {
 				// A few random partner assertions; both engines must treat
 				// them identically, consistent or not.
-				opt.Equiv = map[netlist.NodeID][]EqPartner{}
+				opt.Equiv = map[netlist.NodeID][]netlist.NodeID{}
 				for k := 0; k < 1+r.Intn(3); k++ {
 					src := netlist.NodeID(r.Intn(c.NumNodes()))
-					opt.Equiv[src] = append(opt.Equiv[src], EqPartner{
-						Node: netlist.NodeID(r.Intn(c.NumNodes())),
-						Inv:  r.Bool(),
-					})
+					opt.Equiv[src] = append(opt.Equiv[src], netlist.NodeID(r.Intn(c.NumNodes())))
 				}
 			}
 			ties := map[netlist.NodeID]logic.V{}
@@ -172,7 +169,7 @@ func TestRunScheduledMatchesEngine(t *testing.T) {
 
 // TestRunScheduledLearnedTies replays the scheduled runner against the
 // scalar engine under a multi-node tie map closed over several nodes — the
-// configuration the learner installs between passes (TieFixpoint).
+// configuration the learner installs for its multiple-node pass.
 func TestRunScheduledLearnedTies(t *testing.T) {
 	c := randSeqCircuit(41)
 	pe := NewPackedEngine(c)

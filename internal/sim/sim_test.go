@@ -185,17 +185,12 @@ func TestEngineEquivalencePropagation(t *testing.T) {
 	if res.Frames[0].Get(g2) != logic.X {
 		t.Fatal("setup broken: g2 must be X without equivalence")
 	}
-	res = e.Run(inj, Options{Equiv: map[netlist.NodeID][]EqPartner{g1: {{Node: g2}}}})
+	res = e.Run(inj, Options{Equiv: map[netlist.NodeID][]netlist.NodeID{g1: {g2}}})
 	if res.Frames[0].Get(g2) != logic.One {
 		t.Fatal("equivalence did not propagate g1 -> g2")
 	}
 	if res.Frames[0].Get(g3) != logic.Zero {
 		t.Fatal("equivalence result did not feed forward into g3")
-	}
-	// Inverted partner.
-	res = e.Run(inj, Options{Equiv: map[netlist.NodeID][]EqPartner{g1: {{Node: g2, Inv: true}}}})
-	if res.Frames[0].Get(g2) != logic.Zero {
-		t.Fatal("inverted equivalence broken")
 	}
 }
 
@@ -369,10 +364,6 @@ func TestFuncSimBasics(t *testing.T) {
 	s.Step([]logic.V{logic.Zero})
 	if s.Output(0) != logic.Zero {
 		t.Errorf("output = %v", s.Output(0))
-	}
-	outs := s.Outputs(nil)
-	if len(outs) != 1 || outs[0] != logic.Zero {
-		t.Errorf("Outputs = %v", outs)
 	}
 }
 

@@ -35,17 +35,15 @@ func Fingerprint(c *netlist.Circuit, opt learn.Options) string {
 		panic(fmt.Sprintf("store: fingerprint write: %v", err))
 	}
 	opt = opt.Normalized() // owning packages fold the defaults, not copies here
-	fmt.Fprintf(h, "|learn|frames=%d single=%t noties=%t noequiv=%t noearly=%t fix=%t skipcomb=%t pairs=%d",
-		opt.MaxFrames,
-		opt.SingleNodeOnly, opt.DisableTies, opt.DisableEquiv,
-		opt.DisableEarlyStop, opt.TieFixpoint, opt.SkipComb,
-		opt.MaxPairsPerStem)
-	fmt.Fprintf(h, "|equiv|rounds=%d support=%d class=%d seed=%d compl=%t",
-		opt.Equiv.Rounds,
-		opt.Equiv.MaxSupport,
-		opt.Equiv.MaxClass,
-		opt.Equiv.Seed,
-		opt.Equiv.IncludeComplement)
+	// noequiv, fix, pairs and the |equiv| fields are learning's fixed
+	// settings (equivalences on, one multiple-node pass, a 1<<20 pair
+	// budget per stem, and equiv's rounds, support bound, class bound and
+	// seed, without complements). They are hashed as the literal text the
+	// fingerprint has always covered, so every content address, and every
+	// cache directory already written, stays valid.
+	fmt.Fprintf(h, "|learn|frames=%d single=%t noties=%t noequiv=false noearly=%t fix=false skipcomb=%t pairs=1048576",
+		opt.MaxFrames, opt.SingleNodeOnly, opt.DisableTies, opt.DisableEarlyStop, opt.SkipComb)
+	io.WriteString(h, "|equiv|rounds=8 support=14 class=32 seed=24301 compl=false")
 	return hex.EncodeToString(h.Sum(nil))
 }
 

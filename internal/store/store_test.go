@@ -24,7 +24,7 @@ func TestFingerprintStability(t *testing.T) {
 	for _, opt := range []learn.Options{
 		{Parallelism: 7},
 		{KeepRows: true},
-		{MaxFrames: 50, MaxPairsPerStem: 1 << 20},
+		{MaxFrames: 50},
 	} {
 		if Fingerprint(c1, opt) != base {
 			t.Errorf("options %+v changed the fingerprint", opt)

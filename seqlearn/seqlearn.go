@@ -138,11 +138,6 @@ type (
 	// faulty machines per machine word, detection maps bit-identical to
 	// the event-driven scalar simulator.
 	PackedFaultSim = fault.PackedSim
-	// ParallelFaultSim shards packed fault simulation over worker clones,
-	// whole 64-fault batches at a time, so worker parallelism and word
-	// parallelism compose; detection maps are bit-identical to a serial
-	// simulation for any worker count.
-	ParallelFaultSim = fault.ParallelSim
 )
 
 // Learning-use modes for the ATPG (paper Section 4 / Table 5).
@@ -167,12 +162,6 @@ func SimulateFaults(c *Circuit, faults []Fault, test [][]V, workers int) []Fault
 	ps := fault.NewParallelSim(c, workers)
 	ps.LoadSequence(test, nil)
 	return ps.Detect(faults)
-}
-
-// NewParallelFaultSim returns a sharded packed fault simulator for
-// repeated sequences (workers <= 0 selects one per core).
-func NewParallelFaultSim(c *Circuit, workers int) *ParallelFaultSim {
-	return fault.NewParallelSim(c, workers)
 }
 
 // NewPackedFaultSim returns the single-threaded word-level bit-parallel
@@ -222,8 +211,10 @@ func Figure1() *Circuit { return circuits.Figure1() }
 // Figure2 returns the reconstruction of the paper's Figure 2 circuit.
 func Figure2() *Circuit { return circuits.Figure2() }
 
-// Benchmark builds a named circuit from the paper's evaluation suite
-// (synthetic stand-in; see DESIGN.md), e.g. "s5378" or "indust1".
+// Benchmark builds a named circuit from the paper's evaluation suite, e.g.
+// "s5378" or "indust1": a synthetic stand-in with the paper circuit's
+// flip-flop and gate counts, since the original netlists cannot be
+// redistributed.
 func Benchmark(name string) *Circuit { return gen.MustBuild(name) }
 
 // BenchmarkNames lists the suite circuits in paper order.
