@@ -53,7 +53,7 @@ type Options struct {
 	SingleNodeOnly bool
 
 	// DisableTies keeps learned tied gates from being used as constants in
-	// the multiple-node phase (ablation).
+	// equivalence identification and the multiple-node phase (ablation).
 	DisableTies bool
 
 	// DisableEarlyStop turns off the repeated-state stopping rule

@@ -82,11 +82,18 @@ func wantDigests(t *testing.T) map[string]string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	names := map[string]bool{}
+	for _, f := range fixtures() {
+		names[f.name] = true
+	}
 	want := map[string]string{}
 	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
 		name, digest, ok := strings.Cut(line, " ")
 		if !ok {
 			t.Fatalf("malformed digest line %q", line)
+		}
+		if !names[name] {
+			t.Fatalf("%s pins %q, which no fixture names", digestPath, name)
 		}
 		want[name] = digest
 	}
