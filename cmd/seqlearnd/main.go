@@ -1,5 +1,5 @@
-// Command seqlearnd serves the sequential-learning stack over HTTP: learn,
-// ATPG and fault-simulation requests against posted .bench netlists, all
+// Command seqlearnd serves the sequential-learning stack over HTTP: learn
+// and ATPG requests against posted .bench netlists, all
 // resolving their implication snapshots through a content-addressed cache
 // (in-memory LRU + singleflight + optional on-disk persistence), so any
 // number of clients amortize one learning run per circuit.
@@ -18,8 +18,7 @@
 // a query parameter; an unknown parameter answers 400.
 //
 //	POST /v1/learn?[name=|max_frames=|single_only=1|skip_comb=1|no_early_stop=1|workers=|timeout=|debug=trace]
-//	POST /v1/atpg?[every /v1/learn key|mode=|backtracks=|max_faults=|max_window=|atpg_workers=|compact=1|fill_seed=|include_tests=1|reuse=]
-//	POST /v1/faultsim?[name=|frames=|seed=|workers=|timeout=|debug=trace]
+//	POST /v1/atpg?[every /v1/learn key|mode=|backtracks=|max_faults=|max_window=|atpg_workers=|compact=1|include_tests=1|reuse=]
 //	GET  /healthz
 //	GET  /v1/stats
 //	GET  /metrics
@@ -27,12 +26,11 @@
 // name= labels the posted circuit. timeout= sets a per-request deadline,
 // capped by -request-timeout. debug=trace echoes the request's span tree
 // in the response. On /v1/atpg, mode= is nolearn, forbidden (default) or
-// known, fill_seed= seeds the random fill of unassigned PI values
-// (default 0x7e57), and reuse= is "auto" or a tests_fingerprint to seed
-// from. On /v1/faultsim, seed= picks the deterministic random PI
-// sequence. Size parameters are bounded when the query is decoded, and an
-// out-of-range value answers 400: max_window 0..64 (0 = 8), max_frames
-// 0..1000 (0 = the learner's default) and frames 0..4096 (0 = 24).
+// known, and reuse= is "auto" or a tests_fingerprint to seed from; the
+// random fill of unassigned PI values always uses seed 0x7e57, as seqatpg
+// does. Size parameters are bounded when the query is decoded, and an
+// out-of-range value answers 400: max_window 0..64 (0 = 8) and max_frames
+// 0..1000 (0 = the learner's default).
 //
 // Every response carries an X-Request-Id (generated, or propagated from
 // the request). Requests slower than -slow-request log at WARN with the

@@ -20,9 +20,8 @@ type arenaConfig struct {
 	opt  Options
 }
 
-// arenaConfigs covers the three learning-use modes plus the cross-frame
-// extension, each with the learned ties and a random fill so emitted tests
-// are fully specified. A last configuration adds arbitrary, mostly
+// arenaConfigs covers the three learning-use modes, each with the learned
+// ties and a random fill so emitted tests are fully specified. A last configuration adds arbitrary, mostly
 // inconsistent ties: sound learned data never conflicts in the middle of
 // implication, so only made-up facts drive the searches that end with a
 // half-drained worklist for rollback to clear.
@@ -35,10 +34,6 @@ func arenaConfigs(c *netlist.Circuit, lr *learn.Result) []arenaConfig {
 		opt.Mode = mode
 		cfgs = append(cfgs, arenaConfig{mode.String(), opt})
 	}
-	cross := base
-	cross.Mode = ModeKnown
-	cross.UseCrossFrame = true
-	cfgs = append(cfgs, arenaConfig{"known+cross", cross})
 
 	bogus := base
 	bogus.Mode = ModeForbidden

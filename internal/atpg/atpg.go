@@ -82,14 +82,6 @@ type Options struct {
 	// tests (0 disables random fill, leaving X).
 	FillSeed uint64
 
-	// UseCrossFrame also applies learned cross-frame relations (A@t ⟹
-	// B@t+dt) inside the expanded window — the extension the paper
-	// sketches in Section 3 ("for an ATPG to take advantage of such
-	// relations, it needs to work on a window equivalent to the number of
-	// time frames across which the relations hold"). Effective in the
-	// Forbidden and Known modes.
-	UseCrossFrame bool
-
 	// rels is the compiled relation index. Run compiles it once per run
 	// and shares it, read-only, with every executor's arena; the public
 	// Generate compiles its own per call.
@@ -181,18 +173,18 @@ func Generate(c *netlist.Circuit, f fault.Fault, opt Options) Result {
 // every executor of a run to share.
 func (o *Options) prepare(c *netlist.Circuit) {
 	o.defaults()
-	o.rels = buildRelIndex(c, o.DB, o.Mode, o.UseCrossFrame)
+	o.rels = buildRelIndex(c, o.DB, o.Mode)
 	o.rels.keyNodes = closureKeyNodes(c, o.rels, o.Ties, o.Mode)
 }
 
-// relIndex pre-compiles the relations of a DB, filtered by mode, into flat
-// per-literal tables: same-frame consequents with their validity depths,
-// and, only with UseCrossFrame, cross-frame consequents with their frame
-// offsets. keyNodes lists, in node order, the nodes whose taint a tie
-// closure depends on (see closureCache).
+// relIndex pre-compiles the same-frame relations of a DB, filtered by
+// mode, into a flat per-literal table of consequents with their validity
+// depths. PODEM uses no cross-frame relation. keyNodes lists, in node
+// order, the nodes whose taint a tie closure depends on (see
+// closureCache).
 type relIndex struct {
-	same, cross relTable
-	keyNodes    []netlist.NodeID
+	same     relTable
+	keyNodes []netlist.NodeID
 }
 
 // relTable is a CSR list keyed by antecedent literal (litKey): literal k's
@@ -203,7 +195,7 @@ type relTable struct {
 }
 
 // relEnt is one consequent: the target literal packed by litKey, and its
-// validity depth (same-frame) or frame offset (cross-frame).
+// validity depth.
 type relEnt struct {
 	tgt uint32
 	arg int32
@@ -229,12 +221,8 @@ func litVal(k uint32) logic.V {
 	return logic.Zero
 }
 
-func buildRelIndex(c *netlist.Circuit, db *imply.Snapshot, mode Mode, crossFrame bool) *relIndex {
-	nLits := 2 * c.NumNodes()
-	ri := &relIndex{
-		same:  relTable{off: make([]int32, nLits+1)},
-		cross: relTable{off: make([]int32, nLits+1)},
-	}
+func buildRelIndex(c *netlist.Circuit, db *imply.Snapshot, mode Mode) *relIndex {
+	ri := &relIndex{same: relTable{off: make([]int32, 2*c.NumNodes()+1)}}
 	if db == nil {
 		return ri
 	}
@@ -244,10 +232,6 @@ func buildRelIndex(c *netlist.Circuit, db *imply.Snapshot, mode Mode, crossFrame
 	for _, place := range []bool{false, true} {
 		for i, r := range db.Relations() {
 			if r.Dt != 0 {
-				if crossFrame && mode != ModeNoLearning {
-					ri.cross.add(place, r.A, r.B, int32(r.Dt))
-					ri.cross.add(place, r.B.Not(), r.A.Not(), -int32(r.Dt))
-				}
 				continue
 			}
 			comb, depth := db.RelationMeta(i)
@@ -260,11 +244,9 @@ func buildRelIndex(c *netlist.Circuit, db *imply.Snapshot, mode Mode, crossFrame
 		}
 		if !place {
 			ri.same.allocate()
-			ri.cross.allocate()
 		}
 	}
 	ri.same.finish()
-	ri.cross.finish()
 	return ri
 }
 
@@ -305,10 +287,8 @@ func closureKeyNodes(c *netlist.Circuit, ri *relIndex, ties []learn.Tie, mode Mo
 		key[tie.Node] = true
 	}
 	if mode != ModeForbidden {
-		for _, t := range []*relTable{&ri.same, &ri.cross} {
-			for _, r := range t.ents {
-				key[litNode(r.tgt)] = true
-			}
+		for _, r := range ri.same.ents {
+			key[litNode(r.tgt)] = true
 		}
 	}
 	var nodes []netlist.NodeID

@@ -442,19 +442,6 @@ func (e *expanded) applyRelations(at fnode, g logic.V) bool {
 			}
 		}
 	}
-	// Cross-frame relations (window extension): the consequent lands in a
-	// different frame; the in-window bound implies enough history for the
-	// direct relations learning stores.
-	cross := &e.ri.cross
-	for _, r := range cross.ents[cross.off[k]:cross.off[k+1]] {
-		ft := at.t + int(r.arg)
-		if ft < 0 || ft >= e.w {
-			continue
-		}
-		if !e.applyOne(fnode{ft, litNode(r.tgt)}, litVal(r.tgt)) {
-			return false
-		}
-	}
 	return true
 }
 

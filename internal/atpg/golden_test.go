@@ -105,7 +105,7 @@ func goldenDigests() map[string]string {
 
 // TestGoldenDigests is the identical-work oracle for the PODEM engine:
 // every per-fault Result on s382 and a random circuit under each arena
-// configuration (all three modes, cross-frame, and forbidden mode with
+// configuration (all three modes, and forbidden mode with
 // inconsistent ties, the one set that conflicts in mid-settle), and the
 // whole s953 campaign run at one and four workers, must hash exactly to
 // the digests recorded in testdata/golden.txt.

@@ -49,10 +49,7 @@ type LearnParams struct {
 // Size caps of the query decoders (max_window's cap lives with
 // atpg.WindowLadder): each bounds what one request may allocate and how
 // long one learning injection may run.
-const (
-	maxLearnFrames    = 1000 // max_frames on /v1/learn and /v1/atpg
-	maxFaultSimFrames = 4096 // frames on /v1/faultsim
-)
+const maxLearnFrames = 1000 // max_frames on /v1/learn and /v1/atpg
 
 // Options maps the request to learn.Options.
 func (p LearnParams) Options() learn.Options {
@@ -130,7 +127,6 @@ type ATPGParams struct {
 	MaxWindow    int    // largest time-frame window (default 8)
 	Workers      int    // PODEM/fault-sim shards (0 = one per core, 1 = serial)
 	Compact      bool   // reverse-order test-set compaction
-	FillSeed     uint64 // random-fill seed (default 0x7e57)
 	IncludeTests bool   // return the test vectors themselves
 
 	// Reuse selects incremental test-set reuse when the exact cache key
@@ -155,6 +151,10 @@ func (p ATPGParams) atpgMode() (atpg.Mode, error) {
 	return 0, fmt.Errorf("unknown mode %q", p.Mode)
 }
 
+// fillSeed seeds the random fill of unassigned PI values in served tests;
+// cmd/seqatpg uses the same value.
+const fillSeed = 0x7e57
+
 // RunOptions maps the request onto a cached artifact: the one
 // place the service's ATPG configuration is assembled, shared by the
 // daemon and by tests asserting served results match direct in-process
@@ -172,10 +172,6 @@ func (p ATPGParams) RunOptions(art *store.Artifact) (atpg.RunOptions, error) {
 	ties := art.Ties()
 	if mode == atpg.ModeNoLearning {
 		ties = art.CombTies
-	}
-	fillSeed := p.FillSeed
-	if fillSeed == 0 {
-		fillSeed = 0x7e57
 	}
 	return atpg.RunOptions{
 		MaxFaults:    p.MaxFaults,
@@ -203,9 +199,6 @@ func (p ATPGParams) Query() url.Values {
 	setInt(q, "max_window", p.MaxWindow)
 	setInt(q, "atpg_workers", p.Workers)
 	setBool(q, "compact", p.Compact)
-	if p.FillSeed != 0 {
-		q.Set("fill_seed", strconv.FormatUint(p.FillSeed, 10))
-	}
 	setBool(q, "include_tests", p.IncludeTests)
 	if p.Reuse != "" {
 		q.Set("reuse", p.Reuse)
@@ -217,7 +210,7 @@ func (p ATPGParams) Query() url.Values {
 // (the snapshot is resolved through the same cache) plus its own.
 var atpgQueryKeys = append([]string{
 	"mode", "backtracks", "max_faults", "max_window", "atpg_workers",
-	"compact", "fill_seed", "include_tests", "reuse",
+	"compact", "include_tests", "reuse",
 }, learnQueryKeys...)
 
 func atpgParamsFromQuery(q url.Values) (ATPGParams, error) {
@@ -251,70 +244,11 @@ func atpgParamsFromQuery(q url.Values) (ATPGParams, error) {
 	if p.Compact, err = getBool(q, "compact"); err != nil {
 		return p, err
 	}
-	if p.FillSeed, err = getUint(q, "fill_seed"); err != nil {
-		return p, err
-	}
 	if p.IncludeTests, err = getBool(q, "include_tests"); err != nil {
 		return p, err
 	}
 	p.Reuse = q.Get("reuse")
 	return p, nil
-}
-
-// FaultSimParams configures a fault-simulation request: the collapsed
-// fault universe of the posted circuit is simulated against a
-// deterministic random PI sequence derived from Seed, so repeated requests
-// (and requests to different daemons) measure the same workload.
-type FaultSimParams struct {
-	Frames  int    // sequence length (default 24)
-	Seed    uint64 // PI sequence seed (default 0xbe7c)
-	Workers int    // fault-sim shards (0 = one per core, 1 = serial)
-
-	// Timeout bounds the request like LearnParams.Timeout. The simulation
-	// kernel has no cancellation hook, so the deadline governs the queue
-	// wait; an expired wait answers 504 without starting the run.
-	Timeout time.Duration
-
-	// Trace asks for the span tree, like LearnParams.Trace.
-	Trace bool
-}
-
-// Query renders the parameters for a request URL.
-func (p FaultSimParams) Query() url.Values {
-	q := url.Values{}
-	setInt(q, "frames", p.Frames)
-	if p.Seed != 0 {
-		q.Set("seed", strconv.FormatUint(p.Seed, 10))
-	}
-	setInt(q, "workers", p.Workers)
-	setDuration(q, "timeout", p.Timeout)
-	setTrace(q, p.Trace)
-	return q
-}
-
-// faultSimQueryKeys lists every parameter /v1/faultsim accepts.
-var faultSimQueryKeys = []string{"name", "frames", "seed", "workers", "timeout", "debug"}
-
-func faultSimParamsFromQuery(q url.Values) (FaultSimParams, error) {
-	var p FaultSimParams
-	var err error
-	if err = checkKnown(q, faultSimQueryKeys); err != nil {
-		return p, err
-	}
-	if p.Frames, err = getSize(q, "frames", maxFaultSimFrames); err != nil {
-		return p, err
-	}
-	if p.Seed, err = getUint(q, "seed"); err != nil {
-		return p, err
-	}
-	if p.Workers, err = getInt(q, "workers"); err != nil {
-		return p, err
-	}
-	if p.Timeout, err = getDuration(q, "timeout"); err != nil {
-		return p, err
-	}
-	p.Trace, err = getTrace(q)
-	return p, err
 }
 
 // LearnResponse is the JSON answer of POST /v1/learn.
@@ -383,19 +317,6 @@ type ATPGResponse struct {
 	// declaration order) as produced by FormatTest.
 	TestVectors [][]string `json:"test_vectors,omitempty"`
 
-	ElapsedMS float64 `json:"elapsed_ms"`
-
-	// Trace is the request's span tree, present with debug=trace.
-	Trace *obs.TraceJSON `json:"trace,omitempty"`
-}
-
-// FaultSimResponse is the JSON answer of POST /v1/faultsim.
-type FaultSimResponse struct {
-	Circuit   string  `json:"circuit"`
-	Faults    int     `json:"faults"`
-	Detected  int     `json:"detected"`
-	Frames    int     `json:"frames"`
-	Coverage  float64 `json:"coverage"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 
 	// Trace is the request's span tree, present with debug=trace.
@@ -513,18 +434,6 @@ func getSize(q url.Values, key string, limit int) (int, error) {
 		err = fmt.Errorf("bad %s %d: want 0..%d", key, v, limit)
 	}
 	return v, err
-}
-
-func getUint(q url.Values, key string) (uint64, error) {
-	s := q.Get(key)
-	if s == "" {
-		return 0, nil
-	}
-	v, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", key, s)
-	}
-	return v, nil
 }
 
 func getBool(q url.Values, key string) (bool, error) {

@@ -18,7 +18,7 @@ import (
 // without asking the client to re-run with debug=trace.
 
 // endpoints the compute histograms are pre-registered for.
-var computeEndpoints = []string{"learn", "atpg", "faultsim"}
+var computeEndpoints = []string{"learn", "atpg"}
 
 // endpointOf buckets a request path into a bounded label set — raw paths
 // would make series cardinality client-controlled.
@@ -28,8 +28,6 @@ func endpointOf(path string) string {
 		return "learn"
 	case "/v1/atpg":
 		return "atpg"
-	case "/v1/faultsim":
-		return "faultsim"
 	case "/healthz":
 		return "healthz"
 	case "/v1/stats":
@@ -57,7 +55,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		queueWait: map[string]*obs.Histogram{},
 		slotHold:  map[string]*obs.Histogram{},
 	}
-	for _, ep := range []string{"learn", "atpg", "faultsim", "healthz", "stats", "metrics", "other"} {
+	for _, ep := range []string{"learn", "atpg", "healthz", "stats", "metrics", "other"} {
 		m.reqDur[ep] = reg.Histogram("seqlearnd_request_duration_seconds",
 			"End-to-end request latency (queue wait included).", nil,
 			obs.Label{Key: "endpoint", Value: ep})

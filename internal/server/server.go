@@ -1,4 +1,4 @@
-// Package server exposes the learn/ATPG/fault-sim stack as an HTTP/JSON
+// Package server exposes the learn/ATPG stack as an HTTP/JSON
 // service backed by the content-addressed snapshot store: the paper's
 // "learn once, amortize across every query" economics, extended across
 // processes. Circuits arrive as extended .bench netlists in the request
@@ -10,11 +10,10 @@
 //
 // Endpoints:
 //
-//	POST /v1/learn     learn (or fetch cached) implications for a netlist
-//	POST /v1/atpg      generate tests, resolving the snapshot via the cache
-//	POST /v1/faultsim  fault-simulate the collapsed universe on a seeded sequence
-//	GET  /healthz      liveness
-//	GET  /v1/stats     cache and pool counters
+//	POST /v1/learn  learn (or fetch cached) implications for a netlist
+//	POST /v1/atpg   generate tests, resolving the snapshot via the cache
+//	GET  /healthz   liveness
+//	GET  /v1/stats  cache and pool counters
 //
 // cmd/seqlearnd hosts the server; seqlearn.Client is the in-repo consumer.
 package server
@@ -32,9 +31,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/fault"
 	"repro/internal/learn"
-	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -46,7 +43,7 @@ type Config struct {
 	// Store configures the snapshot cache.
 	Store store.Options
 
-	// MaxConcurrent bounds how many compute requests (learn/atpg/faultsim)
+	// MaxConcurrent bounds how many compute requests (learn/atpg)
 	// execute at once (default 2); excess requests wait in the admission
 	// queue. Each request may itself shard over many cores via its
 	// workers parameter.
@@ -174,7 +171,6 @@ func New(cfg Config) *Server {
 
 	s.mux.HandleFunc("POST /v1/learn", s.handleLearn)
 	s.mux.HandleFunc("POST /v1/atpg", s.handleATPG)
-	s.mux.HandleFunc("POST /v1/faultsim", s.handleFaultSim)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.Handle("GET /metrics", reg)
@@ -568,76 +564,6 @@ func (s *Server) handleATPG(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if params.Learn.Trace {
-		resp.Trace = tr.JSON()
-	}
-	s.writeJSON(w, resp)
-}
-
-func (s *Server) handleFaultSim(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	params, err := faultSimParamsFromQuery(r.URL.Query())
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	c, ok := s.readCircuit(w, r)
-	if !ok {
-		return
-	}
-	// The fault-simulation kernel has no cooperative cancel hook; the
-	// deadline still bounds time spent waiting in the admission queue.
-	ctx, cancel := s.requestContext(r, params.Timeout)
-	defer cancel()
-	release, ok := s.acquire(w, ctx, "faultsim")
-	if !ok {
-		return
-	}
-	defer release()
-
-	tr := obs.TraceFrom(ctx)
-	frames := params.Frames
-	if frames <= 0 {
-		frames = 24
-	}
-	seed := params.Seed
-	if seed == 0 {
-		seed = 0xbe7c
-	}
-	faults, _ := fault.Collapse(c)
-	rnd := logic.NewRand64(seed)
-	vectors := make([][]logic.V, frames)
-	for t := range vectors {
-		vec := make([]logic.V, len(c.PIs))
-		for i := range vec {
-			vec[i] = logic.FromBool(rnd.Bool())
-		}
-		vectors[t] = vec
-	}
-	ps := fault.NewParallelSim(c, params.Workers)
-	// fault_sim is an aggregate span: the good-machine load and the
-	// detection sweep each add their elapsed time.
-	ps.SetSpan(tr.Root().Start("fault_sim"))
-	ps.LoadSequence(vectors, nil)
-	detected := 0
-	for _, d := range ps.Detect(faults) {
-		if d.Detected {
-			detected++
-		}
-	}
-	s.served["faultsim"].Inc()
-	coverage := 0.0
-	if len(faults) > 0 {
-		coverage = float64(detected) / float64(len(faults))
-	}
-	resp := FaultSimResponse{
-		Circuit:   c.Name,
-		Faults:    len(faults),
-		Detected:  detected,
-		Frames:    frames,
-		Coverage:  coverage,
-		ElapsedMS: ms(time.Since(start)),
-	}
-	if params.Trace {
 		resp.Trace = tr.JSON()
 	}
 	s.writeJSON(w, resp)

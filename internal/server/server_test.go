@@ -216,28 +216,6 @@ func TestConcurrentRequestsSingleLearn(t *testing.T) {
 	}
 }
 
-func TestFaultSimEndpointMatchesDirect(t *testing.T) {
-	ts := httptest.NewServer(New(Config{}))
-	defer ts.Close()
-	c := circuits.Figure2()
-	resp := post[FaultSimResponse](t, ts, "/v1/faultsim",
-		FaultSimParams{Frames: 16, Seed: 42, Workers: 1}.Query(), benchText(t, c))
-	if resp.Frames != 16 || resp.Faults == 0 {
-		t.Fatalf("faultsim response: %+v", resp)
-	}
-	// Determinism: same seed, same answer.
-	again := post[FaultSimResponse](t, ts, "/v1/faultsim",
-		FaultSimParams{Frames: 16, Seed: 42, Workers: 1}.Query(), benchText(t, c))
-	if resp.Detected != again.Detected || resp.Coverage != again.Coverage {
-		t.Fatalf("faultsim not deterministic: %+v vs %+v", resp, again)
-	}
-	other := post[FaultSimResponse](t, ts, "/v1/faultsim",
-		FaultSimParams{Frames: 16, Seed: 43, Workers: 1}.Query(), benchText(t, c))
-	if other.Faults != resp.Faults {
-		t.Fatalf("fault universe changed with the seed: %+v", other)
-	}
-}
-
 func TestBadRequests(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}))
 	defer ts.Close()
@@ -253,7 +231,6 @@ func TestBadRequests(t *testing.T) {
 		{"bad int", "POST", "/v1/learn?max_frames=many", body, http.StatusBadRequest},
 		{"bad bool", "POST", "/v1/atpg?compact=maybe", body, http.StatusBadRequest},
 		{"max_window over cap", "POST", "/v1/atpg?max_window=65", body, http.StatusBadRequest},
-		{"negative frames", "POST", "/v1/faultsim?frames=-1", body, http.StatusBadRequest},
 		// Misspelled or unsupported parameters are rejected, not silently
 		// ignored: a remote ablation run that dropped no_early_stop would
 		// report the wrong experiment.
@@ -261,9 +238,10 @@ func TestBadRequests(t *testing.T) {
 		{"atpg param on learn", "POST", "/v1/learn?backtracks=30", body, http.StatusBadRequest},
 		{"unknown atpg param", "POST", "/v1/atpg?backtrack=30", body, http.StatusBadRequest},
 		{"removed partition param", "POST", "/v1/atpg?partition=0/2", body, http.StatusBadRequest},
-		{"unknown faultsim param", "POST", "/v1/faultsim?frame=12", body, http.StatusBadRequest},
+		{"removed fill_seed param", "POST", "/v1/atpg?fill_seed=1", body, http.StatusBadRequest},
 		{"wrong method", "GET", "/v1/learn", "", http.StatusMethodNotAllowed},
 		{"unknown path", "POST", "/v1/psychic", body, http.StatusNotFound},
+		{"removed faultsim endpoint", "POST", "/v1/faultsim", body, http.StatusNotFound},
 	} {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
 		if err != nil {
@@ -273,9 +251,14 @@ func TestBadRequests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != tc.wantCode {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.wantCode)
+		}
+		if strings.HasPrefix(tc.name, "removed") && tc.wantCode == http.StatusBadRequest &&
+			!strings.Contains(string(msg), "unknown query parameter") {
+			t.Errorf("%s: error %q, want an unknown query parameter", tc.name, msg)
 		}
 	}
 }
@@ -306,9 +289,8 @@ func TestBodyOverLimit(t *testing.T) {
 // wrap around and append forever while holding a pool slot.
 func TestSizeParamsBounded(t *testing.T) {
 	decoders := map[string]func(url.Values) error{
-		"learn":    func(q url.Values) error { _, err := learnParamsFromQuery(q); return err },
-		"atpg":     func(q url.Values) error { _, err := atpgParamsFromQuery(q); return err },
-		"faultsim": func(q url.Values) error { _, err := faultSimParamsFromQuery(q); return err },
+		"learn": func(q url.Values) error { _, err := learnParamsFromQuery(q); return err },
+		"atpg":  func(q url.Values) error { _, err := atpgParamsFromQuery(q); return err },
 	}
 	for _, tc := range []struct {
 		endpoint, query string
@@ -323,9 +305,6 @@ func TestSizeParamsBounded(t *testing.T) {
 		{"learn", "max_frames=9223372036854775807", false},
 		{"learn", "max_frames=-1", false},
 		{"learn", "max_frames=1000", true},
-		{"faultsim", "frames=9223372036854775807", false},
-		{"faultsim", "frames=-1", false},
-		{"faultsim", "frames=4096", true},
 	} {
 		q, err := url.ParseQuery(tc.query)
 		if err != nil {

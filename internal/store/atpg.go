@@ -101,8 +101,10 @@ type atpgValue struct {
 // the stored result reads as a pure function of the key).
 func ATPGFingerprint(learnFP string, c *netlist.Circuit, faults []fault.Fault, ropt atpg.RunOptions) string {
 	a := ropt.ATPG.Normalized()
-	b := fmt.Appendf(nil, "atpg|learn=%s|mode=%d bt=%d win=%v fill=%d cross=%t compact=%t",
-		learnFP, a.Mode, a.BacktrackLimit, a.Windows, a.FillSeed, a.UseCrossFrame, ropt.CompactTests)
+	// cross=false is hashed as literal text: PODEM applies no cross-frame
+	// relation, and the literal keeps every earlier content address.
+	b := fmt.Appendf(nil, "atpg|learn=%s|mode=%d bt=%d win=%v fill=%d cross=false compact=%t",
+		learnFP, a.Mode, a.BacktrackLimit, a.Windows, a.FillSeed, ropt.CompactTests)
 	for _, f := range ropt.PreUntestable {
 		b = appendFault(append(b, "|pre="...), c, f)
 	}

@@ -29,15 +29,10 @@ type (
 	ServiceLearnParams = server.LearnParams
 	// ServiceATPGParams configures a remote test-generation request.
 	ServiceATPGParams = server.ATPGParams
-	// ServiceFaultSimParams configures a remote fault-simulation request.
-	ServiceFaultSimParams = server.FaultSimParams
 	// ServiceLearnResult is the answer of a remote learning request.
 	ServiceLearnResult = server.LearnResponse
 	// ServiceATPGResult is the answer of a remote test-generation request.
 	ServiceATPGResult = server.ATPGResponse
-	// ServiceFaultSimResult is the answer of a remote fault-simulation
-	// request.
-	ServiceFaultSimResult = server.FaultSimResponse
 	// ServiceStats is the daemon's cache/pool counter snapshot.
 	ServiceStats = server.StatsResponse
 	// ServiceHealth is the daemon's liveness answer.
@@ -170,12 +165,6 @@ func (cl *Client) GenerateTests(ctx context.Context, c *Circuit, p ServiceATPGPa
 		return nil, fmt.Errorf("seqlearn: client: daemon answered malformed reuse fingerprint %q", res.ReuseFingerprint)
 	}
 	return res, err
-}
-
-// SimulateFaults fault-simulates c's collapsed fault universe remotely
-// against the deterministic sequence selected by p.
-func (cl *Client) SimulateFaults(ctx context.Context, c *Circuit, p ServiceFaultSimParams) (*ServiceFaultSimResult, error) {
-	return post[ServiceFaultSimResult](ctx, cl, "/v1/faultsim", p.Query(), c)
 }
 
 // Stats fetches the daemon's cache and worker-pool counters.

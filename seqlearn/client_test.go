@@ -67,14 +67,6 @@ func TestClientAgainstInProcessDaemon(t *testing.T) {
 		t.Fatalf("remote ATPG differs from local: %+v vs %+v", at, direct)
 	}
 
-	fs, err := cl.SimulateFaults(ctx, c, seqlearn.ServiceFaultSimParams{Frames: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs.Faults == 0 || fs.Frames != 12 {
-		t.Fatalf("faultsim response: %+v", fs)
-	}
-
 	stats, err := cl.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -134,10 +134,6 @@ type (
 	Fault = fault.Fault
 	// FaultDetection is the per-fault outcome of a fault-simulation pass.
 	FaultDetection = fault.Detection
-	// PackedFaultSim is the word-level bit-parallel fault simulator: 64
-	// faulty machines per machine word, detection maps bit-identical to
-	// the event-driven scalar simulator.
-	PackedFaultSim = fault.PackedSim
 )
 
 // Learning-use modes for the ATPG (paper Section 4 / Table 5).
@@ -162,12 +158,6 @@ func SimulateFaults(c *Circuit, faults []Fault, test [][]V, workers int) []Fault
 	ps := fault.NewParallelSim(c, workers)
 	ps.LoadSequence(test, nil)
 	return ps.Detect(faults)
-}
-
-// NewPackedFaultSim returns the single-threaded word-level bit-parallel
-// fault simulator (64 machines per word).
-func NewPackedFaultSim(c *Circuit) *PackedFaultSim {
-	return fault.NewPackedSim(c)
 }
 
 // GenerateTest targets a single fault.

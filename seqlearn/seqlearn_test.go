@@ -52,21 +52,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal("no outcome")
 	}
 
-	// Packed fault simulation through the public API: the packed and
-	// sharded simulators agree with SimulateFaults on an emitted test.
+	// Fault simulation through the public API: an emitted test detects
+	// the fault it was generated for.
 	if len(run.Tests) > 0 {
-		test := run.Tests[0]
-		want := seqlearn.SimulateFaults(c, faults, test, 1)
-		ps := seqlearn.NewPackedFaultSim(c)
-		ps.LoadSequence(test, nil)
-		got := ps.DetectAll(faults)
-		if len(got) != len(want) {
-			t.Fatalf("packed detection map truncated: %d vs %d", len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("packed detection diverges at %d: %+v vs %+v", i, got[i], want[i])
-			}
+		det := seqlearn.SimulateFaults(c, run.TestTargets[:1], run.Tests[0], 1)
+		if !det[0].Detected {
+			t.Fatalf("emitted test misses its target %+v", run.TestTargets[0])
 		}
 	}
 
