@@ -397,7 +397,7 @@ func BenchmarkATPGCampaign(b *testing.B) {
 	for _, w := range []struct {
 		name                       string
 		backtracks, targets, tests int
-	}{{"s953", 19988, 587, 6}, {"s1423", 40153, 1010, 8}} {
+	}{{"s953", 19988, 589, 6}, {"s1423", 40343, 1016, 8}} {
 		c := gen.MustBuild(w.name)
 		lr := learn.Learn(c, learn.Options{})
 		faults, _ := fault.Collapse(c)

@@ -48,7 +48,8 @@ func Universe(c *netlist.Circuit) []Fault {
 // Collapse performs structural equivalence collapsing and returns the
 // representative faults (deterministic order) plus the representative map.
 //
-// Rules: for a gate g with a single-fanout fanin driver u,
+// Rules: for a gate g with a fanin driver u that has no other fanout and
+// drives no primary output,
 //
 //	BUF:  u s-a-v      ≡ g s-a-v
 //	NOT:  u s-a-v      ≡ g s-a-¬v
@@ -83,6 +84,12 @@ func Collapse(c *netlist.Circuit) ([]Fault, map[Fault]Fault) {
 		}
 	}
 
+	// A primary output observes its driver directly, so the driver's
+	// faults are not equivalent to those of its one gate fanout.
+	isPO := make([]bool, c.NumNodes())
+	for _, po := range c.POs {
+		isPO[po.Pin.Node] = true
+	}
 	for id := range c.Nodes {
 		n := &c.Nodes[id]
 		if n.Kind != netlist.KindGate {
@@ -92,8 +99,8 @@ func Collapse(c *netlist.Circuit) ([]Fault, map[Fault]Fault) {
 		fanin := c.Fanin(g)
 		ctrl, hasCtrl := n.Op.Controlling()
 		for _, pin := range fanin {
-			if c.FanoutCount(pin.Node) != 1 {
-				continue // stems are not collapsed across
+			if c.FanoutCount(pin.Node) != 1 || isPO[pin.Node] {
+				continue // stems and PO drivers are not collapsed across
 			}
 			switch n.Op {
 			case logic.OpBuf, logic.OpNot:

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/circuits"
+	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/sim"
@@ -280,5 +281,36 @@ func TestRunAllAndName(t *testing.T) {
 	}
 	if s.Frames() != 6 {
 		t.Fatalf("Frames = %d", s.Frames())
+	}
+}
+
+// TestCollapseClassesDetectAlike is the collapse oracle on suite circuits:
+// every member of a collapsed class must be detected exactly when, and at
+// the same frame as, its representative, over seeded random sequences from
+// the all-X state. A primary output with one gate fanout must stay out of
+// that gate's class: the PO observes its driver directly, so on s1423 g413
+// s-a-0 is detected while g432 s-a-1 (g432 = NAND(g13, g413) drives
+// nothing) never is.
+func TestCollapseClassesDetectAlike(t *testing.T) {
+	for _, name := range []string{"s382", "s953", "s1423"} {
+		c := gen.MustBuild(name)
+		_, rep := Collapse(c)
+		universe := Universe(c)
+		reps := make([]Fault, len(universe))
+		for i, f := range universe {
+			reps[i] = rep[f]
+		}
+		r := logic.NewRand64(0xc011a)
+		p := NewPackedSim(c)
+		for seq := 0; seq < 8; seq++ {
+			p.LoadSequence(randVectors(r, len(c.PIs), 32), nil)
+			got, want := p.DetectAll(universe), p.DetectAll(reps)
+			for i, f := range universe {
+				if got[i] != want[i] {
+					t.Fatalf("%s seq %d: %s detection %+v, its representative %s %+v",
+						name, seq, Name(c, f), got[i], Name(c, reps[i]), want[i])
+				}
+			}
+		}
 	}
 }
