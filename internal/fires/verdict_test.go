@@ -10,9 +10,9 @@ import (
 )
 
 // TestUntestableVerdictsNeverDetected is the cross-verdict oracle: no
-// fault that TieUntestable or Fires lists as untestable may be detected
-// by a test that a whole-list forbidden-mode Run emitted, each test
-// re-simulated from the all-X state with the scalar fault.Sim.
+// fault that TieUntestable, Fires or PODEM calls untestable may be
+// detected by a test that a whole-list forbidden-mode Run emitted, each
+// test re-simulated from the all-X state with the scalar fault.Sim.
 func TestUntestableVerdictsNeverDetected(t *testing.T) {
 	for _, name := range []string{"s382", "s953", "s1423"} {
 		c := gen.MustBuild(name)
@@ -32,6 +32,11 @@ func TestUntestableVerdictsNeverDetected(t *testing.T) {
 				FillSeed:       0x7e57,
 			},
 		})
+		for i, f := range res.Faults {
+			if res.Status[i] == atpg.StatusUntestable {
+				verdicts["PODEM"] = append(verdicts["PODEM"], f)
+			}
+		}
 		if len(res.Tests) == 0 {
 			t.Fatalf("%s: setup emitted no tests", name)
 		}

@@ -46,10 +46,10 @@ type LearnParams struct {
 	Trace bool
 }
 
-// Size caps of the query decoders (max_window's cap lives with
-// atpg.WindowLadder): each bounds what one request may allocate and how
-// long one learning injection may run.
-const maxLearnFrames = 1000 // max_frames on /v1/learn and /v1/atpg
+// maxLearnFrames caps max_frames on /v1/learn and /v1/atpg, bounding how
+// long one learning injection may run (max_window's cap lives with
+// atpg.WindowLadder).
+const maxLearnFrames = 1000
 
 // Options maps the request to learn.Options.
 func (p LearnParams) Options() learn.Options {
